@@ -24,7 +24,7 @@ Best paths are computed with Dijkstra on the AS topology graph
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
 
@@ -90,87 +90,105 @@ class SwitchGraph:
     Maintained by the controller from its initial topology knowledge and
     subsequent PortStatus events.  Sub-clusters are the connected
     components — an intra-cluster link failure splits the cluster, and
-    route computation then treats each component independently.
+    route computation then treats each component independently.  What
+    route computation reads is cached in :meth:`view` until the next
+    mutation.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
         #: member name -> ASN
         self.member_asn: Dict[str, int] = {}
+        #: member -> {neighbour: [link name, up]}; both ends share a list
+        self._links: Dict[str, Dict[str, list]] = {}
+        self._view: Optional[_SwitchView] = None
 
     def add_member(self, name: str, asn: int) -> None:
         """Register a member switch and its ASN."""
         self.member_asn[name] = asn
-        self._graph.add_node(name)
+        self._links.setdefault(name, {})
+        self._view = None
 
     def members(self) -> List[str]:
         """Member switch names, sorted."""
-        return sorted(self._graph.nodes)
-
-    def member_asns(self) -> Set[int]:
-        """The set of all member AS numbers."""
-        return set(self.member_asn.values())
+        return list(self.view().members)
 
     def add_intra_link(self, a: str, b: str, link_name: str) -> None:
         """Register an intra-cluster adjacency."""
         if a not in self.member_asn or b not in self.member_asn:
             raise KeyError(f"both endpoints must be members: {a}, {b}")
-        self._graph.add_edge(a, b, link_name=link_name, up=True)
+        self._links[a][b] = self._links[b][a] = [link_name, True]
+        self._view = None
 
     def set_link_state(self, a: str, b: str, up: bool) -> bool:
         """Mark an intra-cluster link up/down; True if it existed."""
-        if not self._graph.has_edge(a, b):
+        link = self._links.get(a, {}).get(b)
+        if link is None:
             return False
-        self._graph.edges[a, b]["up"] = up
+        if link[1] != up:
+            link[1] = up
+            self._view = None
         return True
 
-    def up_graph(self) -> nx.Graph:
-        """The switch graph restricted to links currently up."""
-        up = nx.Graph()
-        up.add_nodes_from(self._graph.nodes)
-        for a, b, data in self._graph.edges(data=True):
-            if data.get("up", True):
-                up.add_edge(a, b, **data)
-        return up
+    def view(self) -> "_SwitchView":
+        """Route-computation inputs, rebuilt only after a mutation."""
+        if self._view is None:
+            members = tuple(sorted(self._links))
+            intra = {
+                m: {n: 1.0 for n, (_, up) in sorted(self._links[m].items()) if up}
+                for m in members
+            }
+            comps = nx.connected_components(nx.from_dict_of_lists(intra))
+            comps = sorted(map(frozenset, comps), key=min)
+            cluster_asns: Dict[str, FrozenSet[int]] = {}
+            for comp in comps:
+                asns = frozenset(self.member_asn[m] for m in comp)
+                cluster_asns.update(dict.fromkeys(comp, asns))
+            self._view = _SwitchView(members, tuple(comps), cluster_asns, intra)
+        return self._view
 
     def sub_clusters(self) -> List[FrozenSet[str]]:
         """Connected components (each is one sub-cluster), deterministic order."""
-        comps = [frozenset(c) for c in nx.connected_components(self.up_graph())]
-        return sorted(comps, key=lambda c: sorted(c)[0])
+        return list(self.view().sub_clusters)
 
     def sub_cluster_of(self, member: str) -> FrozenSet[str]:
         """The connected component containing a member."""
-        for comp in self.sub_clusters():
+        for comp in self.view().sub_clusters:
             if member in comp:
                 return comp
         raise KeyError(f"not a member: {member!r}")
 
     def intra_link_name(self, a: str, b: str) -> Optional[str]:
         """Name of the up link between two members, or None."""
-        if self._graph.has_edge(a, b) and self._graph.edges[a, b].get("up", True):
-            return self._graph.edges[a, b]["link_name"]
-        return None
+        link = self._links.get(a, {}).get(b)
+        return link[0] if link is not None and link[1] else None
 
     def up_neighbors(self, member: str) -> List[str]:
         """Members adjacent over currently-up links."""
-        out = []
-        for nbr in self._graph.neighbors(member):
-            if self._graph.edges[member, nbr].get("up", True):
-                out.append(nbr)
-        return sorted(out)
+        return list(self.view().intra[member])
 
     def __contains__(self, member: str) -> bool:
         return member in self.member_asn
+
+
+class _SwitchView(NamedTuple):
+    """Inputs of route computation derived from one switch-graph state,
+    shared read-only by every AS topology graph built from it."""
+
+    members: Tuple[str, ...]  # sorted
+    sub_clusters: Tuple[FrozenSet[str], ...]  # ordered by smallest member
+    cluster_asns: Dict[str, FrozenSet[int]]  # member -> its sub-cluster's ASNs
+    intra: Dict[str, Dict[str, float]]  # member -> {up neighbour: 1.0}, sorted
 
 
 @dataclass
 class ASTopologyGraph:
     """The per-prefix transformed graph Dijkstra runs on.
 
-    Directed graph over member names plus the virtual :data:`DEST` node:
+    Directed graph over member names plus the virtual :data:`DEST` node,
+    kept as ``pred[v] = {u: weight}`` for every edge ``u -> v``:
 
     - ``member -> member`` edges (weight 1) for up intra-cluster links
-      within one sub-cluster;
+      within one sub-cluster, shared read-only with the switch view;
     - ``member -> DEST`` edges for usable egresses: local origination
       (weight 0) or a valid external route (weight 1 + AS-path length).
 
@@ -180,15 +198,21 @@ class ASTopologyGraph:
     """
 
     prefix: Prefix
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    #: every member, sorted (all are nodes, reachable or not)
+    members: Tuple[str, ...] = ()
+    pred: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: member -> ("local", None) or ("egress", ExternalRoute)
     egress_choice: Dict[str, Tuple[str, Optional[ExternalRoute]]] = field(
         default_factory=dict
     )
 
-    def usable_members(self) -> List[str]:
-        """Members present in the per-prefix graph."""
-        return sorted(n for n in self.graph.nodes if n != DEST)
+    def has_edge(self, u: str, v: str) -> bool:
+        """True if the edge ``u -> v`` exists."""
+        return u in self.pred.get(v, ())
+
+    def weight(self, u: str, v: str) -> float:
+        """Weight of the edge ``u -> v``."""
+        return self.pred[v][u]
 
 
 def build_as_topology(
@@ -213,57 +237,40 @@ def build_as_topology(
     the resulting route, so Dijkstra picks what BGP's shortest-AS-path
     step would, minus the exploration.
     """
-    topo = ASTopologyGraph(prefix=prefix)
-    graph = topo.graph
-    graph.add_node(DEST)
-    sub_clusters = switch_graph.sub_clusters()
-    asn_of_component: Dict[FrozenSet[str], Set[int]] = {
-        comp: {switch_graph.member_asn[m] for m in comp} for comp in sub_clusters
-    }
-    component_of: Dict[str, FrozenSet[str]] = {}
-    for comp in sub_clusters:
-        for member in comp:
-            component_of[member] = comp
-
-    for member in switch_graph.members():
-        graph.add_node(member)
-
-    # Intra-cluster edges (both directions; weight 1 per AS hop).
-    for member in switch_graph.members():
-        for nbr in switch_graph.up_neighbors(member):
-            graph.add_edge(member, nbr, weight=1.0, kind="intra")
+    view = switch_graph.view()
+    to_dest: Dict[str, float] = {}
+    topo = ASTopologyGraph(
+        prefix=prefix, members=view.members, pred={**view.intra, DEST: to_dest}
+    )
 
     # Local originations beat any egress (weight 0).
     for member in sorted(set(originating_members)):
         if member not in switch_graph:
             raise KeyError(f"originating node is not a member: {member!r}")
-        graph.add_edge(member, DEST, weight=0.0, kind="local")
+        to_dest[member] = 0.0
         topo.egress_choice[member] = ("local", None)
 
     # External egresses, best (lowest weight, then deterministic
     # tie-break) route per member.
-    best_per_member: Dict[str, ExternalRoute] = {}
+    best_per_member: Dict[str, Tuple[tuple, ExternalRoute]] = {}
     for route in external_routes:
         if route.prefix != prefix:
             continue
         member = route.peering.member
-        if member not in switch_graph:
+        cluster_asns = view.cluster_asns.get(member)
+        if cluster_asns is None:
             continue
-        cluster_asns = asn_of_component[component_of[member]]
-        if any(route.as_path.contains(asn) for asn in cluster_asns):
+        if not cluster_asns.isdisjoint(route.as_path.members):
             continue  # would re-enter this sub-cluster: loop risk
+        key = _route_key(route)
         current = best_per_member.get(member)
-        if current is None or _route_key(route) < _route_key(current):
-            best_per_member[member] = route
+        if current is None or key < current[0]:
+            best_per_member[member] = (key, route)
 
-    for member, route in best_per_member.items():
-        if topo.egress_choice.get(member, (None, None))[0] == "local":
+    for member, (_, route) in best_per_member.items():
+        if member in to_dest:
             continue  # origination wins
-        graph.add_edge(
-            member, DEST,
-            weight=egress_base_cost + route.path_len,
-            kind="egress",
-        )
+        to_dest[member] = egress_base_cost + route.path_len
         topo.egress_choice[member] = ("egress", route)
 
     return topo
@@ -287,5 +294,5 @@ def _route_key(route: ExternalRoute):
         int(route.origin),
         route.med,
         route.peering.external,
-        tuple(route.as_path),
+        route.as_path.asns,
     )

@@ -57,7 +57,7 @@ def compute_decisions(topo: ASTopologyGraph, member_asn: Dict[str, int]) -> Dict
     """Run reverse Dijkstra from DEST and derive every member's decision."""
     dist, succ = _reverse_dijkstra(topo)
     decisions: Dict[str, MemberDecision] = {}
-    for member in topo.usable_members():
+    for member in topo.members:
         if member not in dist:
             decisions[member] = MemberDecision(member, "unreachable")
             continue
@@ -73,7 +73,7 @@ def _reverse_dijkstra(
     Edges in the AS topology graph point toward DEST; we relax them in
     reverse (for each edge u->v, knowing dist(v) improves dist(u)).
     """
-    graph = topo.graph
+    pred_of = topo.pred
     dist: Dict[str, float] = {DEST: 0.0}
     succ: Dict[str, str] = {}
     # (distance, node) heap; name is the deterministic tie-breaker.
@@ -84,8 +84,7 @@ def _reverse_dijkstra(
         if node in done:
             continue
         done.add(node)
-        for pred in graph.predecessors(node):
-            weight = graph.edges[pred, node]["weight"]
+        for pred, weight in pred_of[node].items():
             cand = d + weight
             if pred not in dist or cand < dist[pred] - 1e-12:
                 dist[pred] = cand

@@ -345,15 +345,16 @@ class ClusterBGPSpeaker(Node):
     # controller-facing queries
     # ------------------------------------------------------------------
     def external_routes(self, prefix: Optional[Prefix] = None) -> List[ExternalRoute]:
-        """Snapshot of all usable external routes (per peering best)."""
+        """Snapshot of usable external routes (per peering best); for one
+        ``prefix``, one Adj-RIB-In lookup per established session."""
         out: List[ExternalRoute] = []
         for link_id, rib_in in self._rib_in.items():
             session = self.sessions[link_id]
             if not session.established:
                 continue
             peering = self.peering_of[link_id]
-            for route in rib_in:
-                if prefix is not None and route.prefix != prefix:
+            for route in rib_in if prefix is None else (rib_in.get(prefix),):
+                if route is None:
                     continue
                 out.append(
                     ExternalRoute(

@@ -17,6 +17,7 @@ apply its retry policy uniformly.
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -385,9 +386,6 @@ class ResourceAccounting:
         self.gc_collections = 0
         self.gc_pause_s = 0.0
         self._gc_started: Optional[float] = None
-        import gc
-
-        self._gc = gc
         gc.callbacks.append(self._on_gc)
 
     def _on_gc(self, phase: str, info: Dict[str, Any]) -> None:
@@ -406,7 +404,7 @@ class ResourceAccounting:
     ) -> Dict[str, Any]:
         """Detach and return the JSON-ready resources dict."""
         try:
-            self._gc.callbacks.remove(self._on_gc)
+            gc.callbacks.remove(self._on_gc)
         except ValueError:  # pragma: no cover - double finish
             pass
         out: Dict[str, Any] = {
@@ -443,7 +441,17 @@ def execute_spec(spec: RunSpec, cid: str = "") -> RunRecord:
     differential test pins that).  Every record carries digest-neutral
     resource accounting; ``cid`` is the caller's correlation id, echoed
     into this worker's structured log lines.
+
+    A trial's object graph is cyclic (nodes, links and the simulator
+    point at each other), so it outlives the trial until a full
+    collection runs.  Each job therefore starts with one
+    ``gc.collect()``, before its clock and resource accounting start,
+    which frees the previous trial in this process so dead trials never
+    pile up in a long-lived worker between gen-2 passes.  It is not in
+    :func:`run_trial_full`, so callers that drive trials directly (the
+    scale storm) do not pay for it.
     """
+    gc.collect()
     from ..obs.logging import get_logger
 
     digest = spec.digest()

@@ -17,13 +17,16 @@
   subprocesses — fully debuggable, and the reference for equality).
 
 Fault semantics worth knowing: when a worker process dies, the executor
-marks *every* in-flight future broken, so each in-flight job is charged
-one attempt and requeued behind untouched work.  A persistently
-crashing job therefore ends up retried mostly alone (its innocent
-pool-mates complete in the rebuilt pool first) and drains only its own
-retry budget.  Per-job timeouts likewise kill the whole pool (there is
-no way to kill a single hung pool worker); jobs that were still within
-their deadline are requeued without being charged an attempt.
+fails *every* unfinished future with ``BrokenProcessPool``, so the
+futures cannot say which job crashed.  If only one job was unfinished,
+it is the culprit and is charged the attempt.  Otherwise nobody is
+charged: every unfinished job is requeued as a *suspect*, and suspects
+run one at a time, alone in the pool, so a crash is only ever charged
+to the job that caused it.  A persistently crashing job therefore
+drains only its own retry budget and never an innocent bystander's.
+Per-job timeouts likewise kill the whole pool (there is no way to kill
+a single hung pool worker); jobs that were still within their deadline
+are requeued without being charged an attempt.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ class _Job:
     index: int
     spec: RunSpec
     attempts: int = 0  # executions started so far
+    #: was unfinished when a worker died beside another job: from then
+    #: on it runs alone in the pool, so a crash can be charged to it.
+    suspect: bool = False
 
 
 class ParallelRunner:
@@ -275,12 +281,19 @@ class ParallelRunner:
         try:
             while queue or inflight:
                 while queue and len(inflight) < self.n_workers:
-                    job = queue.popleft()
+                    job = queue[0]
                     if self._is_cancelled(job.spec):
+                        queue.popleft()
                         self._finalize(
                             job, self._cancelled_record(job), records
                         )
                         continue
+                    if inflight and (
+                        job.suspect
+                        or any(j.suspect for j, _ in inflight.values())
+                    ):
+                        break  # a suspect runs alone
+                    queue.popleft()
                     job.attempts += 1
                     self.progress.job_started(job.index, job.spec, job.attempts)
                     self._logger.info(
@@ -313,58 +326,57 @@ class ParallelRunner:
                     broken = True
                     return
 
+                if any(future.exception() is not None for future in done):
+                    # A worker process died (os._exit, signal,
+                    # OOM-kill...): the pool is broken.
+                    self._handle_crash(inflight, queue, records)
+                    broken = True
+                    return
                 for future in done:
                     job, _ = inflight.pop(future)
-                    exc = future.exception()
-                    if exc is not None:
-                        # The worker process died (os._exit, signal,
-                        # OOM-kill...): the pool is broken.
-                        self._register_failure(
-                            job,
-                            f"worker process died: {exc!r}",
-                            queue, records,
-                        )
-                        broken = True
-                        continue
-                    record = future.result()
-                    if self._is_cancelled(job.spec):
-                        self._finalize(
-                            job, self._cancelled_record(job), records
-                        )
-                    elif record.ok:
-                        record.attempts = job.attempts
-                        self._finalize(job, record, records)
-                    elif job.attempts > self.retries:
-                        record.attempts = job.attempts
-                        self._finalize(job, record, records)
-                    else:
-                        queue.append(job)  # soft failure: retry later
-
-                if broken:
-                    # Every other in-flight future is doomed with the
-                    # pool; requeue still-running jobs without charging
-                    # them the attempt they never got to finish.
-                    for future, (job, _) in list(inflight.items()):
-                        if future.done() and future.exception() is not None:
-                            self._register_failure(
-                                job,
-                                f"worker process died: {future.exception()!r}",
-                                queue, records,
-                            )
-                        elif future.done():
-                            record = future.result()
-                            record.attempts = job.attempts
-                            self._finalize(job, record, records)
-                        else:
-                            job.attempts -= 1
-                            queue.appendleft(job)
-                    inflight.clear()
-                    return
+                    self._settle(job, future.result(), queue, records)
         finally:
             if broken or inflight:
                 self._kill_executor(executor)
             else:
                 executor.shutdown(wait=True)
+
+    def _settle(self, job: _Job, record: RunRecord, queue, records) -> None:
+        """Finalize a job whose worker returned, or requeue a soft failure."""
+        if self._is_cancelled(job.spec):
+            self._finalize(job, self._cancelled_record(job), records)
+        elif record.ok or job.attempts > self.retries:
+            record.attempts = job.attempts
+            self._finalize(job, record, records)
+        else:
+            queue.append(job)  # soft failure: retry later
+
+    def _handle_crash(self, inflight, queue, records) -> None:
+        """A worker died and the pool failed every unfinished future.
+
+        Finished jobs settle normally.  A lone unfinished job is the
+        crasher and is charged; several are indistinguishable, so none
+        is charged and all go back to the front of the queue as suspects.
+        """
+        unfinished = []
+        for future, (job, _) in inflight.items():
+            if future.done() and future.exception() is None:
+                self._settle(job, future.result(), queue, records)
+            else:
+                unfinished.append((job, future))
+        inflight.clear()
+        for job, _ in unfinished:
+            job.suspect = True
+        if len(unfinished) == 1:
+            job, future = unfinished[0]
+            exc = future.exception() if future.done() else None
+            self._register_failure(
+                job, f"worker process died: {exc!r}", queue, records
+            )
+            return
+        for job, _ in sorted(unfinished, key=lambda u: -u[0].index):
+            job.attempts -= 1
+            queue.appendleft(job)
 
     def _handle_timeout(self, inflight, queue, records) -> None:
         """Per-job deadline passed with nothing completing: kill the

@@ -95,14 +95,14 @@ class TestSwitchGraph:
 class TestBuildAsTopology:
     def test_intra_edges_bidirectional(self):
         topo = build_as_topology(make_switch_graph(), PFX, [])
-        assert topo.graph.has_edge("m1", "m2")
-        assert topo.graph.has_edge("m2", "m1")
+        assert topo.has_edge("m1", "m2")
+        assert topo.has_edge("m2", "m1")
 
     def test_egress_edge_weight_is_base_plus_path_len(self):
         topo = build_as_topology(
             make_switch_graph(), PFX, [ext_route("m1", (7, 8))],
         )
-        assert topo.graph.edges["m1", DEST]["weight"] == 3.0
+        assert topo.weight("m1", DEST) == 3.0
 
     def test_best_route_per_member_selected(self):
         shorter = ext_route("m1", (7,), external="extA")
@@ -114,7 +114,7 @@ class TestBuildAsTopology:
         """Path containing a fellow sub-cluster member's ASN is unusable."""
         poisoned = ext_route("m1", (7, 102, 6))  # 102 = m2's ASN
         topo = build_as_topology(make_switch_graph(), PFX, [poisoned])
-        assert not topo.graph.has_edge("m1", DEST)
+        assert not topo.has_edge("m1", DEST)
 
     def test_other_subcluster_member_in_path_is_allowed(self):
         """Disjoint sub-clusters may reach each other via the legacy world."""
@@ -122,7 +122,7 @@ class TestBuildAsTopology:
         graph.set_link_state("m2", "m3", False)  # m3 now its own sub-cluster
         through_m3 = ext_route("m1", (7, 103, 6))  # 103 = m3's ASN
         topo = build_as_topology(graph, PFX, [through_m3])
-        assert topo.graph.has_edge("m1", DEST)
+        assert topo.has_edge("m1", DEST)
 
     def test_local_origination_wins_over_egress(self):
         topo = build_as_topology(
@@ -130,7 +130,7 @@ class TestBuildAsTopology:
             originating_members=["m1"],
         )
         assert topo.egress_choice["m1"] == ("local", None)
-        assert topo.graph.edges["m1", DEST]["weight"] == 0.0
+        assert topo.weight("m1", DEST) == 0.0
 
     def test_unknown_originating_member_raises(self):
         with pytest.raises(KeyError):
@@ -145,7 +145,7 @@ class TestBuildAsTopology:
             as_path=AsPath.of(7),
         )
         topo = build_as_topology(make_switch_graph(), PFX, [other])
-        assert not topo.graph.has_edge("m1", DEST)
+        assert not topo.has_edge("m1", DEST)
 
     def test_customer_route_preferred_over_shorter_peer_route(self):
         customer = ext_route("m1", (7, 8), external="cust", rel=Relationship.CUSTOMER)
@@ -157,4 +157,92 @@ class TestBuildAsTopology:
         graph = make_switch_graph()
         graph.set_link_state("m1", "m2", False)
         topo = build_as_topology(graph, PFX, [])
-        assert not topo.graph.has_edge("m1", "m2")
+        assert not topo.has_edge("m1", "m2")
+
+
+def topology_shape(topo):
+    """Every edge with its weight, plus the egress choices."""
+    edges = {
+        (u, v): weight for v, preds in topo.pred.items()
+        for u, weight in preds.items()
+    }
+    return edges, topo.egress_choice
+
+
+class TestCachedSwitchView:
+    """One SwitchGraph mutated in place must build exactly what a freshly
+    constructed graph of the same state builds."""
+
+    LINKS = (("m1", "m2"), ("m2", "m3"), ("m3", "m4"))
+    MEMBERS = ("m1", "m2", "m3", "m4")
+
+    def routes(self):
+        # m1's route crosses m3 (ASN 103), m4's crosses m2 (ASN 102):
+        # usable only while the path's member is in another sub-cluster.
+        return [ext_route("m1", (7, 103, 6)), ext_route("m4", (8, 102, 6))]
+
+    def check_against_fresh(self, graph, down=()):
+        fresh = make_switch_graph(self.MEMBERS, self.LINKS)
+        for a, b in down:
+            fresh.set_link_state(a, b, False)
+        assert graph.sub_clusters() == fresh.sub_clusters()
+        assert graph.members() == fresh.members()
+        for member in self.MEMBERS:
+            assert graph.up_neighbors(member) == fresh.up_neighbors(member)
+        built = build_as_topology(graph, PFX, self.routes())
+        expected = build_as_topology(fresh, PFX, self.routes())
+        assert topology_shape(built) == topology_shape(expected)
+        return built
+
+    def test_split_and_heal_match_fresh_graphs(self):
+        graph = make_switch_graph(self.MEMBERS, self.LINKS)
+        whole = self.check_against_fresh(graph)
+        assert whole.has_edge("m2", "m3")
+        assert not whole.has_edge("m1", DEST)  # 103 is in m1's cluster
+        assert not whole.has_edge("m4", DEST)  # 102 is in m4's cluster
+
+        assert graph.set_link_state("m2", "m3", False)
+        split = self.check_against_fresh(graph, down=[("m2", "m3")])
+        assert graph.sub_clusters() == [
+            frozenset({"m1", "m2"}), frozenset({"m3", "m4"}),
+        ]
+        assert not split.has_edge("m2", "m3")
+        assert split.weight("m1", DEST) == 4.0  # 103 now elsewhere
+        assert split.weight("m4", DEST) == 4.0  # 102 now elsewhere
+
+        assert graph.set_link_state("m2", "m3", True)
+        healed = self.check_against_fresh(graph)
+        assert topology_shape(healed) == topology_shape(whole)
+
+    def test_view_reused_until_mutation(self):
+        graph = make_switch_graph(self.MEMBERS, self.LINKS)
+        view = graph.view()
+        assert graph.view() is view
+        assert graph.set_link_state("m1", "m2", True)  # no change
+        assert graph.view() is view
+        graph.set_link_state("m1", "m2", False)
+        assert graph.view() is not view
+        view = graph.view()
+        graph.add_member("m5", 105)
+        assert graph.view() is not view
+        view = graph.view()
+        graph.add_intra_link("m4", "m5", "m4--m5")
+        assert graph.view() is not view
+        assert graph.sub_cluster_of("m5") == frozenset({"m2", "m3", "m4", "m5"})
+
+    def test_building_one_prefix_leaves_another_untouched(self):
+        graph = make_switch_graph()
+        other = Prefix.parse("10.1.0.0/24")
+        first = build_as_topology(graph, PFX, [ext_route("m1", (7,))])
+        before = topology_shape(first)
+        before = ({**before[0]}, {**before[1]})
+        second = build_as_topology(
+            graph, other,
+            [ExternalRoute(peering=peering("m3"), prefix=other,
+                           as_path=AsPath.of(9, 8))],
+            originating_members=["m2"],
+        )
+        assert topology_shape(first) == before
+        assert first.has_edge("m1", DEST) and not first.has_edge("m3", DEST)
+        assert second.has_edge("m3", DEST) and not second.has_edge("m1", DEST)
+        assert second.egress_choice["m2"] == ("local", None)

@@ -29,6 +29,27 @@ class TestSpeakerRibs:
         routes = exp.speaker.external_routes(prefix)
         assert routes and all(r.prefix == prefix for r in routes)
 
+    def test_prefix_lookup_matches_filtered_scan(self):
+        """Per-prefix lookup == full scan filtered, in order, and a
+        session that is not established contributes nothing either way
+        even while its Adj-RIB-In still holds routes."""
+        from repro.bgp.session import SessionState
+
+        exp = hybrid()
+        speaker = exp.speaker
+        link_id = min(speaker.sessions)
+        assert len(speaker._rib_in[link_id]) > 0
+        speaker.sessions[link_id].state = SessionState.IDLE
+        dropped = speaker.peering_of[link_id]
+        every = speaker.external_routes()
+        assert every and all(r.peering != dropped for r in every)
+        prefixes = speaker.known_external_prefixes()
+        assert len(prefixes) > 1
+        for prefix in prefixes:
+            assert speaker.external_routes(prefix) == [
+                r for r in every if r.prefix == prefix
+            ]
+
     def test_member_asn_loop_check_on_import(self):
         """Paths containing the peering member's own ASN are dropped."""
         exp = hybrid()

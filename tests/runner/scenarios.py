@@ -61,3 +61,17 @@ class HangScenario(Scenario):
 
     def event(self, exp) -> None:
         time.sleep(self.sleep_seconds)
+
+
+@dataclass
+class SlowScenario(WithdrawalScenario):
+    """A normal withdrawal that first stalls in real (wall-clock) time —
+    a long-running bystander that is still in flight when a pool-mate
+    crashes."""
+
+    name: str = "slow"
+    sleep_seconds: float = 2.0
+
+    def event(self, exp) -> None:
+        time.sleep(self.sleep_seconds)
+        super().event(exp)

@@ -6,7 +6,13 @@ import pytest
 
 from repro.runner import ParallelRunner, ProgressSink, CallbackProgress
 
-from .scenarios import CrashScenario, FlakyScenario, HangScenario, RaisingScenario
+from .scenarios import (
+    CrashScenario,
+    FlakyScenario,
+    HangScenario,
+    RaisingScenario,
+    SlowScenario,
+)
 from .test_jobs import make_spec
 
 
@@ -65,6 +71,22 @@ class TestCrashRetry:
         records = ParallelRunner(2, retries=3).run(specs)
         assert not records[0].ok
         assert records[1].ok and records[2].ok
+
+
+    def test_bystander_not_charged_for_pool_mate_crash(self):
+        # The crasher dies while the slow job is still running, so the
+        # broken pool fails both futures; only the crasher pays.
+        specs = [
+            make_spec(scenario_factory=SlowScenario, seed=41),
+            make_spec(scenario_factory=CrashScenario, seed=42),
+        ]
+        records = ParallelRunner(2, retries=1).run(specs)
+        slow, crash = records
+        assert slow.ok
+        assert slow.attempts == 1
+        assert not crash.ok
+        assert crash.attempts == 2
+        assert "worker process died" in crash.error
 
 
 class TestSoftFailureRetry:
