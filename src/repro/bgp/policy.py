@@ -12,13 +12,18 @@ the two policy templates the experiments use:
 - **Transit-all** (flat): every AS re-exports everything, the classic
   setting for clique convergence studies (Labovitz et al.) and the one
   the paper's 16-AS clique experiment corresponds to.
+
+Policies are immutable (frozen dataclasses over tuples), so an
+experiment builds one per relationship and shares it across every
+session with that relationship; per-session variants such as
+:meth:`PeerPolicy.with_export_prepend` are new objects.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from ..net.addr import Prefix
 from .attrs import PathAttributes
@@ -75,23 +80,23 @@ def relationship_community(rel: Relationship) -> str:
 # ----------------------------------------------------------------------
 # Route-maps
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class RouteMapEntry:
     """One permit/deny clause with optional matches and actions.
 
     ``matches`` are predicates over ``(prefix, attrs)``; all must hold for
     the entry to fire.  On a permit, ``actions`` transform the attributes
-    in order.
+    in order.  Both are stored as tuples (any sequence is accepted).
     """
 
     permit: bool = True
-    matches: List[Callable[[Prefix, PathAttributes], bool]] = field(
-        default_factory=list
-    )
-    actions: List[Callable[[PathAttributes], PathAttributes]] = field(
-        default_factory=list
-    )
+    matches: Tuple[Callable[[Prefix, PathAttributes], bool], ...] = ()
+    actions: Tuple[Callable[[PathAttributes], PathAttributes], ...] = ()
     description: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matches", tuple(self.matches))
+        object.__setattr__(self, "actions", tuple(self.actions))
 
     def applies(self, prefix: Prefix, attrs: PathAttributes) -> bool:
         """True when every match predicate holds."""
@@ -104,27 +109,21 @@ class RouteMapEntry:
         return attrs
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class RouteMap:
     """Ordered first-match route-map, Quagga semantics.
 
     If no entry matches, the route is denied (matching Quagga's implicit
-    deny) unless ``default_permit`` is set.
+    deny) unless ``default_permit`` is set.  ``entries`` is stored as a
+    tuple (any sequence, or None, is accepted).
     """
 
-    def __init__(
-        self,
-        entries: Optional[Sequence[RouteMapEntry]] = None,
-        *,
-        default_permit: bool = False,
-        name: str = "",
-    ) -> None:
-        self.entries: List[RouteMapEntry] = list(entries or [])
-        self.default_permit = default_permit
-        self.name = name
+    entries: Tuple[RouteMapEntry, ...] = ()
+    default_permit: bool = field(default=False, kw_only=True)
+    name: str = field(default="", kw_only=True)
 
-    def append(self, entry: RouteMapEntry) -> None:
-        """Add an entry at the end."""
-        self.entries.append(entry)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries or ()))
 
     def evaluate(
         self, prefix: Prefix, attrs: PathAttributes
@@ -216,9 +215,13 @@ def prepend_path(asn: int, count: int):
 # ----------------------------------------------------------------------
 # Per-peer policy bundles
 # ----------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class PeerPolicy:
-    """Import and export route-maps for one BGP peer, plus its relationship."""
+    """Import and export route-maps for one BGP peer, plus its relationship.
+
+    Immutable, so one instance can serve every session that shares a
+    relationship.
+    """
 
     relationship: Relationship
     import_map: RouteMap
@@ -245,9 +248,9 @@ class PeerPolicy:
         entries = [
             RouteMapEntry(
                 permit=entry.permit,
-                matches=list(entry.matches),
-                actions=list(entry.actions)
-                + ([prepend_path(asn, count)] if entry.permit else []),
+                matches=entry.matches,
+                actions=entry.actions
+                + ((prepend_path(asn, count),) if entry.permit else ()),
                 description=(entry.description + f" +prepend x{count}").strip(),
             )
             for entry in self.export_map.entries

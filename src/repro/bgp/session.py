@@ -13,6 +13,10 @@ that matter for convergence dynamics live here:
 - **Fast fallover**: when the underlying link goes down the session
   drops immediately (Quagga's ``bgp fast-external-fallover``); otherwise
   failure is only detected when the hold timer expires.
+
+A 5k-AS hierarchy configures ~50k sessions, so a session holds no timer
+objects: each of its timers (connect, MRAI, hold, keepalive, output
+flush) is the raw kernel event handle, ``None`` while disarmed.
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Set
 
-from ..eventsim import PeriodicTimer, Timer
 from ..net.addr import Prefix
 from ..net.link import Link
 from .messages import BGPKeepalive, BGPMessage, BGPNotification, BGPOpen, BGPUpdate
 from .policy import PeerPolicy, transit_all_policy
+
+#: policy of sessions configured without one; policies are immutable,
+#: so every such session shares this one.
+_DEFAULT_POLICY = transit_all_policy()
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .router import BGPRouter
@@ -87,7 +94,7 @@ class BGPSession:
         #: the cluster BGP speaker overrides it per session so external
         #: peers see the cluster member's AS identity (paper §2).
         self.local_asn = local_asn if local_asn is not None else router.asn
-        self.policy = policy if policy is not None else transit_all_policy()
+        self.policy = policy if policy is not None else _DEFAULT_POLICY
         self.timers = timers if timers is not None else router.timers
         self.state = SessionState.IDLE
         #: peer's AS, learned from its OPEN (0 until then).
@@ -95,29 +102,14 @@ class BGPSession:
         self.peer_name = ""
         self.updates_sent = 0
         self.updates_received = 0
-        sim = router.sim
-        self._sim = sim
-        self._mrai_timer = Timer(
-            sim, self._on_mrai_expiry, label=f"{router.name}:mrai"
-        )
-        self._connect_timer = Timer(
-            sim, self._send_open, label=f"{router.name}:connect"
-        )
-        # Hold expiry only matters when keepalives stop coming; it must
-        # not hold up convergence detection, so it is background.
-        self._hold_timer = Timer(
-            sim, self._on_hold_expiry, background=True,
-            label=f"{router.name}:hold",
-        )
-        self._keepalive_timer = PeriodicTimer(
-            sim,
-            self._send_keepalive,
-            max(self.timers.keepalive_interval, 1e-3),
-            background=True,
-            label=f"{router.name}:keepalive",
-            jitter=0.25 if self.timers.keepalive_interval > 0 else 0.0,
-            jitter_rng=sim.rng("bgp.keepalive"),
-        )
+        self._sim = router.sim
+        # Timer handles: the pending kernel event, None while disarmed.
+        # Every expiry callback clears its own handle first.  Hold and
+        # keepalive are armed only while ESTABLISHED with keepalives on.
+        self._mrai_event = None
+        self._connect_event = None
+        self._hold_event = None
+        self._keepalive_event = None
         self._dirty: Set[Prefix] = set()
         #: provenance of pending advertisements: prefix -> (context, time
         #: it first went dirty).  First cause wins; consumed at send time
@@ -149,8 +141,10 @@ class BGPSession:
             return
         self.state = SessionState.CONNECT
         self._open_received = False
-        self._connect_timer.start(
-            self.timers.connect_delay if delay is None else delay
+        self._connect_event = self._sim.schedule(
+            self.timers.connect_delay if delay is None else delay,
+            self._send_open,
+            label=f"{self.router.name}:connect",
         )
 
     def stop(self, *, notify_peer: bool = True, reason: str = "admin") -> None:
@@ -211,13 +205,18 @@ class BGPSession:
         self._open_received = False
         self._dirty.clear()
         self._pending_obs.clear()
-        if self._flush_event is not None:
-            self._sim.cancel(self._flush_event)
-            self._flush_event = None
-        self._mrai_timer.stop()
-        self._connect_timer.stop()
-        self._hold_timer.stop()
-        self._keepalive_timer.stop()
+        for event in (
+            self._flush_event, self._mrai_event, self._connect_event,
+            self._hold_event, self._keepalive_event,
+        ):
+            self._disarm(event)
+        self._flush_event = self._mrai_event = self._connect_event = None
+        self._hold_event = self._keepalive_event = None
+
+    def _disarm(self, event) -> None:
+        """Cancel one timer handle (None: not armed)."""
+        if event is not None:
+            self._sim.cancel(event)
 
     # ------------------------------------------------------------------
     # FSM message handling
@@ -234,6 +233,8 @@ class BGPSession:
             self._handle_notification(message)
 
     def _send_open(self) -> None:
+        """Connect timer expiry."""
+        self._connect_event = None
         if self.state not in (SessionState.CONNECT,):
             return
         if not self.link.up:
@@ -263,7 +264,8 @@ class BGPSession:
         self._open_received = True
         if self.state is SessionState.CONNECT:
             # Peer beat our connect timer; answer with our own OPEN now.
-            self._connect_timer.stop()
+            self._disarm(self._connect_event)
+            self._connect_event = None
             self._send(
                 BGPOpen(
                     sender_asn=self.local_asn,
@@ -283,18 +285,18 @@ class BGPSession:
         if self.state is SessionState.OPEN_CONFIRM:
             self.state = SessionState.ESTABLISHED
             if self.timers.keepalives_enabled:
-                self._keepalive_timer.start()
-                self._hold_timer.start(self.timers.hold_time)
+                self._arm_keepalive()
+                self._restart_hold()
             self.router.session_up(self)
         elif self.established and self.timers.keepalives_enabled:
-            self._hold_timer.start(self.timers.hold_time)
+            self._restart_hold()
 
     def _handle_update(self, message: BGPUpdate) -> None:
         if not self.established:
             return
         self.updates_received += 1
         if self.timers.keepalives_enabled:
-            self._hold_timer.start(self.timers.hold_time)
+            self._restart_hold()
         self.router.enqueue_update(self, message)
 
     def _handle_notification(self, message: BGPNotification) -> None:
@@ -306,10 +308,46 @@ class BGPSession:
         if self.link.up:
             self.start(delay=self.timers.reconnect_delay)
 
+    def _restart_hold(self) -> None:
+        """(Re)arm the hold timer a full hold time from now."""
+        self._disarm(self._hold_event)
+        # Hold expiry only matters when keepalives stop coming; it must
+        # not hold up convergence detection, so it is background.
+        self._hold_event = self._sim.schedule(
+            self.timers.hold_time,
+            self._on_hold_expiry,
+            background=True,
+            label=f"{self.router.name}:hold",
+        )
+
     def _on_hold_expiry(self) -> None:
+        self._hold_event = None
         self.stop(notify_peer=False, reason="hold_timer")
         if self.link.up:
             self.start(delay=self.timers.reconnect_delay)
+
+    def _arm_keepalive(self) -> None:
+        """Arm the next keepalive one (RFC-jittered) period from now."""
+        nominal = self.timers.keepalive_interval
+        interval = max(nominal, 1e-3)
+        if nominal > 0:
+            # RFC 4271 jitter: uniform over 75-100% of the interval.
+            period = self._sim.rng("bgp.keepalive").uniform(
+                interval * 0.75, interval
+            )
+        else:
+            period = interval
+        self._keepalive_event = self._sim.schedule(
+            period,
+            self._on_keepalive,
+            background=True,
+            label=f"{self.router.name}:keepalive",
+        )
+
+    def _on_keepalive(self) -> None:
+        # Periodic: the next period is drawn before this one's send.
+        self._arm_keepalive()
+        self._send_keepalive()
 
     def _send_keepalive(self) -> None:
         if self.established and self.link.up:
@@ -332,7 +370,7 @@ class BGPSession:
         if not self.established:
             return
         self._note_dirty(prefix)
-        if not self._mrai_timer.running:
+        if self._mrai_event is None:
             self._request_flush()
             return
         if not self.timers.withdrawal_rate_limited:
@@ -361,12 +399,12 @@ class BGPSession:
             self._note_dirty(prefix)
         for prefix in self.router.adj_rib_out(self).prefixes():
             self._note_dirty(prefix)
-        if not self._mrai_timer.running:
+        if self._mrai_event is None:
             self._request_flush()
 
     def _request_flush(self) -> None:
         """Schedule an output run shortly, coalescing concurrent changes."""
-        if self._flush_event is not None and not self._flush_event.cancelled:
+        if self._flush_event is not None:
             return
         self._flush_event = self._sim.schedule(
             self.timers.output_delay,
@@ -376,10 +414,11 @@ class BGPSession:
 
     def _run_flush(self) -> None:
         self._flush_event = None
-        if self._dirty and not self._mrai_timer.running:
+        if self._dirty and self._mrai_event is None:
             self._flush()
 
     def _on_mrai_expiry(self) -> None:
+        self._mrai_event = None
         if self._dirty:
             self._flush()
         # If nothing was pending the timer simply stops: the next change
@@ -416,7 +455,9 @@ class BGPSession:
             self._send_update(tuple(announced), tuple(withdrawn))
         period = self._mrai_period()
         if period > 0 and (announced or withdrawn):
-            self._mrai_timer.start(period)
+            self._mrai_event = self._sim.schedule(
+                period, self._on_mrai_expiry, label=f"{self.router.name}:mrai"
+            )
 
     def _send_update(self, announced, withdrawn) -> None:
         update = BGPUpdate(

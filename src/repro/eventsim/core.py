@@ -32,7 +32,6 @@ harness (``tests/properties/test_scheduler_equivalence.py`` and
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -53,9 +52,11 @@ class Event:
     Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
     tie-breaker so same-time events run in scheduling order, which keeps
     runs deterministic.  Cancel through :meth:`Simulator.cancel` so the
-    kernel's foreground bookkeeping stays exact.  ``slots=True`` because
-    dense-graph runs keep hundreds of thousands of these alive in the
-    heap at once.
+    kernel's foreground bookkeeping stays exact.  ``cancelled`` is also
+    set when the kernel pops the event to run it, so it reads "no longer
+    pending" and a late ``cancel`` of an event that already ran is a
+    no-op.  ``slots=True`` because dense-graph runs keep hundreds of
+    thousands of these alive in the heap at once.
     """
 
     time: float
@@ -264,7 +265,9 @@ class Simulator:
             raise SimulationError(
                 f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
             )
-        self._queue: list[Event] = []
+        #: heap scheduler entries are ``(time, seq, event)``: ``seq`` is
+        #: unique, so tuple comparison never reaches the event itself.
+        self._queue: list[tuple] = []
         self._calendar = CalendarQueue() if scheduler == "calendar" else None
         self.scheduler = scheduler
         self._seq = itertools.count()
@@ -318,17 +321,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
-        event = Event(
-            time=self._now + delay,
-            seq=next(self._seq),
-            callback=callback,
-            background=background,
-            label=label,
-        )
+        when = self._now + delay
+        seq = next(self._seq)
+        event = Event(when, seq, callback, background, label)
         if self._calendar is not None:
             self._calendar.push(event)
         else:
-            heapq.heappush(self._queue, event)
+            heappush(self._queue, (when, seq, event))
         if not background:
             self._live_foreground += 1
         return event
@@ -347,7 +346,10 @@ class Simulator:
         )
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (idempotent)."""
+        """Cancel a previously scheduled event.
+
+        Idempotent, and a no-op on an event that already ran.
+        """
         if event.cancelled:
             return
         event.cancelled = True
@@ -377,6 +379,7 @@ class Simulator:
         event = self._pop_live()
         if event is None:
             return False
+        event.cancelled = True  # ran: a later cancel() must not count it
         self._now = event.time
         if not event.background:
             self._live_foreground -= 1
@@ -446,8 +449,9 @@ class Simulator:
         calendar = self._calendar
         if calendar is not None:
             return calendar.pop()
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heappop(queue)[2]
             if not event.cancelled:
                 return event
         return None
@@ -456,6 +460,10 @@ class Simulator:
         calendar = self._calendar
         if calendar is not None:
             return calendar.peek()
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        queue = self._queue
+        while queue:
+            event = queue[0][2]
+            if not event.cancelled:
+                return event
+            heappop(queue)
+        return None

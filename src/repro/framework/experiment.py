@@ -156,6 +156,9 @@ class Experiment:
         self.hosts: Dict[int, List[Host]] = {}
         self._as_node: Dict[int, Node] = {}
         self._phys_link: Dict[Tuple[int, int], Link] = {}
+        #: one immutable policy per relationship, shared by every
+        #: session with that relationship (see :meth:`_policy`).
+        self._policies: Dict[Relationship, PeerPolicy] = {}
         self._event_prefix_index = 0
         self._built = False
         self._started = False
@@ -304,6 +307,8 @@ class Experiment:
         self.collector = self.net.add_node(
             RouteCollector(self.net.sim, self.net.bus, "collector")
         )
+        # Routers feed the collector everything, over one shared policy.
+        self._collector_feed_policy = transit_all_policy()
         for asn, node in sorted(self._as_node.items()):
             if isinstance(node, BGPRouter):
                 self._attach_collector(node)
@@ -316,18 +321,27 @@ class Experiment:
         )
         node.add_peer(
             link,
-            policy=transit_all_policy(),
+            policy=self._collector_feed_policy,
             timers=self.config.collector_timers(),
         )
         self.collector.add_peer(link)
         return link
 
     def _policy(self, relationship: Relationship) -> PeerPolicy:
-        if self.config.policy_mode == "gao_rexford":
-            return gao_rexford_policy(relationship)
-        if self.config.policy_mode == "flat":
-            return transit_all_policy()
-        raise ExperimentError(f"unknown policy mode: {self.config.policy_mode!r}")
+        """The experiment's one policy for a relationship, built on first
+        use.  Sharing is safe: policies are immutable, and per-session
+        variants (:meth:`set_export_prepend`) replace, never mutate."""
+        policy = self._policies.get(relationship)
+        if policy is None:
+            mode = self.config.policy_mode
+            if mode == "gao_rexford":
+                policy = gao_rexford_policy(relationship)
+            elif mode == "flat":
+                policy = transit_all_policy()
+            else:
+                raise ExperimentError(f"unknown policy mode: {mode!r}")
+            self._policies[relationship] = policy
+        return policy
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -1,5 +1,7 @@
 """Unit tests for route-maps and the Gao-Rexford / transit-all templates."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.bgp.attrs import AsPath, PathAttributes
@@ -199,3 +201,40 @@ class TestExportPrepend:
         peer_route = policy.import_route(PFX, PathAttributes(as_path=AsPath.of(1)))
         # peer-learned to peer: still denied after prepend wrapping
         assert policy.export_route(PFX, peer_route) is None
+
+
+class TestImmutable:
+    """Experiments share one policy object across sessions, so nothing
+    may change a policy in place."""
+
+    def test_containers_are_tuples(self):
+        policy = gao_rexford_policy(Relationship.PEER)
+        entries = policy.export_map.entries
+        assert isinstance(entries, tuple)
+        assert all(
+            isinstance(e.matches, tuple) and isinstance(e.actions, tuple)
+            for e in entries
+        )
+
+    def test_in_place_mutation_raises(self):
+        policy = transit_all_policy()
+        entry = policy.export_map.entries[0]
+        with pytest.raises(AttributeError):
+            policy.export_map.entries.append(RouteMapEntry(permit=False))
+        with pytest.raises(AttributeError):
+            entry.actions.append(set_local_pref(1))
+        with pytest.raises(FrozenInstanceError):
+            entry.permit = False
+        with pytest.raises(FrozenInstanceError):
+            policy.export_map.default_permit = True
+        with pytest.raises(FrozenInstanceError):
+            policy.import_map = policy.export_map
+        assert not hasattr(policy.export_map, "append")
+
+    def test_prepend_copy_leaves_shared_entries_alone(self):
+        base = transit_all_policy()
+        actions = base.export_map.entries[0].actions
+        prepended = base.with_export_prepend(9, 1)
+        assert base.export_map.entries[0].actions == actions
+        assert len(prepended.export_map.entries[0].actions) == len(actions) + 1
+        assert prepended.import_map is base.import_map

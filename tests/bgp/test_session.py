@@ -247,3 +247,192 @@ class TestKeepalives:
         assert not sa.established
         downs = net.trace.filter(category="bgp.session.down")
         assert any(r.data.get("reason") == "hold_timer" for r in downs)
+
+
+def _timer_program(net, timers, *, silent):
+    """Run a pair with keepalives on; return the ``(time, label)`` of
+    every keepalive/hold event armed and fired, in kernel order."""
+    a, b, link, sa, sb = make_pair(net, timers, timers, start=False)
+    sim = net.sim
+    armed, fired = [], []
+    kinds = (":keepalive", ":hold")
+    schedule = sim.schedule
+
+    def recording_schedule(delay, callback, **kwargs):
+        event = schedule(delay, callback, **kwargs)
+        if event.label.endswith(kinds):
+            armed.append((event.time, event.label))
+        return event
+
+    def on_dispatch(event, wall):
+        if event.label.endswith(kinds):
+            fired.append((event.time, event.label))
+
+    sim.schedule = recording_schedule
+    sim.set_dispatch_hook(on_dispatch)
+    a.start()
+    b.start()
+    sim.run_until_settled()
+    if silent:
+        link.up = False  # no notification: only the hold timer can tell
+        sim.run(until=sim.now + 30.0)
+    else:
+        sim.run(until=sim.now + 60.0)
+    return sa, sb, armed, fired
+
+
+class TestKeepalivePins:
+    """Exact keepalive/hold timing, jitter on.  No paper workload turns
+    keepalives on, so these pins are what guard the hold and keepalive
+    timers' arming order, RNG draws (``bgp.keepalive``: each period is
+    drawn before that tick's send) and background flags."""
+
+    def test_keepalive_schedule_pinned(self, net):
+        timers = BGPTimers(
+            mrai=1.0, keepalives_enabled=True,
+            keepalive_interval=5.0, hold_time=15.0,
+        )
+        sa, sb, armed, fired = _timer_program(net, timers, silent=False)
+        assert sa.established and sb.established
+        assert fired == KEEPALIVE_FIRED
+        assert armed == KEEPALIVE_ARMED
+
+    def test_silent_failure_hold_expiry_pinned(self, net):
+        timers = BGPTimers(
+            mrai=1.0, keepalives_enabled=True,
+            keepalive_interval=5.0, hold_time=15.0, fast_fallover=False,
+        )
+        sa, sb, armed, fired = _timer_program(net, timers, silent=True)
+        assert sa.state is SessionState.IDLE and sb.state is SessionState.IDLE
+        assert fired == SILENT_FIRED
+        assert armed == SILENT_ARMED
+
+    def test_keepalives_enabled_after_add_peer(self, net):
+        """Hold/keepalive exist only once armed, so turning keepalives
+        on after the sessions are configured still takes effect."""
+        timers = BGPTimers(mrai=1.0, keepalive_interval=5.0, hold_time=15.0)
+        a, b, link, sa, sb = make_pair(net, timers, timers, start=False)
+        timers.keepalives_enabled = True
+        fired = []
+        net.sim.set_dispatch_hook(lambda event, wall: fired.append(event.label))
+        a.start()
+        b.start()
+        net.sim.run(until=20.0)
+        assert sa.established
+        assert sa._keepalive_event is not None and sa._hold_event is not None
+        assert fired.count("a:keepalive") >= 3
+
+
+# Recorded with seed 42 (the ``net`` fixture); t = 0.13 is the instant
+# both sessions reach ESTABLISHED.
+KEEPALIVE_FIRED = [
+    (4.524919542637984, "a:keepalive"),
+    (5.005796359713762, "b:keepalive"),
+    (8.88196335105711, "a:keepalive"),
+    (9.80331801771526, "b:keepalive"),
+    (13.513793128754838, "a:keepalive"),
+    (13.798276750655988, "b:keepalive"),
+    (17.708700911785073, "a:keepalive"),
+    (17.965702568707357, "b:keepalive"),
+    (21.859947952104093, "a:keepalive"),
+    (22.4590066126824, "b:keepalive"),
+    (25.793967419081845, "a:keepalive"),
+    (26.61266912602702, "b:keepalive"),
+    (30.335939312777754, "a:keepalive"),
+    (30.613098824770404, "b:keepalive"),
+    (34.774020549437104, "a:keepalive"),
+    (35.445017781623356, "b:keepalive"),
+    (39.278819350572746, "a:keepalive"),
+    (39.70537859353447, "b:keepalive"),
+    (43.857112932300254, "b:keepalive"),
+    (43.963177367183306, "a:keepalive"),
+    (48.10989970595618, "b:keepalive"),
+    (48.35182501962408, "a:keepalive"),
+    (52.35085566263095, "a:keepalive"),
+    (52.808607042895794, "b:keepalive"),
+    (56.41891434755428, "a:keepalive"),
+    (56.959590715082996, "b:keepalive"),
+]
+
+KEEPALIVE_ARMED = [
+    (4.524919542637984, "a:keepalive"),
+    (15.12, "a:hold"),
+    (5.005796359713762, "b:keepalive"),
+    (15.12, "b:hold"),
+    (8.88196335105711, "a:keepalive"),
+    (19.534919542637983, "b:hold"),
+    (9.80331801771526, "b:keepalive"),
+    (20.01579635971376, "a:hold"),
+    (13.513793128754838, "a:keepalive"),
+    (23.891963351057107, "b:hold"),
+    (13.798276750655988, "b:keepalive"),
+    (24.81331801771526, "a:hold"),
+    (17.708700911785073, "a:keepalive"),
+    (28.52379312875484, "b:hold"),
+    (17.965702568707357, "b:keepalive"),
+    (28.80827675065599, "a:hold"),
+    (21.859947952104093, "a:keepalive"),
+    (32.71870091178508, "b:hold"),
+    (22.4590066126824, "b:keepalive"),
+    (32.97570256870736, "a:hold"),
+    (25.793967419081845, "a:keepalive"),
+    (36.8699479521041, "b:hold"),
+    (26.61266912602702, "b:keepalive"),
+    (37.469006612682406, "a:hold"),
+    (30.335939312777754, "a:keepalive"),
+    (40.80396741908184, "b:hold"),
+    (30.613098824770404, "b:keepalive"),
+    (41.62266912602702, "a:hold"),
+    (34.774020549437104, "a:keepalive"),
+    (45.34593931277776, "b:hold"),
+    (35.445017781623356, "b:keepalive"),
+    (45.62309882477041, "a:hold"),
+    (39.278819350572746, "a:keepalive"),
+    (49.7840205494371, "b:hold"),
+    (39.70537859353447, "b:keepalive"),
+    (50.455017781623354, "a:hold"),
+    (43.963177367183306, "a:keepalive"),
+    (54.288819350572744, "b:hold"),
+    (43.857112932300254, "b:keepalive"),
+    (54.71537859353447, "a:hold"),
+    (48.10989970595618, "b:keepalive"),
+    (58.86711293230025, "a:hold"),
+    (48.35182501962408, "a:keepalive"),
+    (58.973177367183304, "b:hold"),
+    (52.808607042895794, "b:keepalive"),
+    (63.11989970595618, "a:hold"),
+    (52.35085566263095, "a:keepalive"),
+    (63.36182501962408, "b:hold"),
+    (56.41891434755428, "a:keepalive"),
+    (67.36085566263094, "b:hold"),
+    (56.959590715082996, "b:keepalive"),
+    (67.81860704289579, "a:hold"),
+    (60.74640872241604, "a:keepalive"),
+    (71.42891434755427, "b:hold"),
+    (60.94486260259069, "b:keepalive"),
+    (71.969590715083, "a:hold"),
+]
+
+SILENT_FIRED = [
+    (4.524919542637984, "a:keepalive"),
+    (5.005796359713762, "b:keepalive"),
+    (8.88196335105711, "a:keepalive"),
+    (9.80331801771526, "b:keepalive"),
+    (13.513793128754838, "a:keepalive"),
+    (13.798276750655988, "b:keepalive"),
+    (15.12, "a:hold"),
+    (15.12, "b:hold"),
+]
+
+SILENT_ARMED = [
+    (4.524919542637984, "a:keepalive"),
+    (15.12, "a:hold"),
+    (5.005796359713762, "b:keepalive"),
+    (15.12, "b:hold"),
+    (8.88196335105711, "a:keepalive"),
+    (9.80331801771526, "b:keepalive"),
+    (13.513793128754838, "a:keepalive"),
+    (13.798276750655988, "b:keepalive"),
+    (17.708700911785073, "a:keepalive"),
+    (17.965702568707357, "b:keepalive"),
+]

@@ -93,6 +93,28 @@ class TestCancellation:
         sim.cancel(event)
         assert sim.pending_foreground() == 0
 
+    def test_cancel_after_run_is_a_noop(self, sim):
+        """Regression: cancelling an event that already ran used to
+        decrement the foreground count a second time, so
+        run_until_settled returned while foreground work was queued."""
+        ran = []
+        first = sim.schedule(1.0, lambda: ran.append(1))
+        sim.schedule(2.0, lambda: ran.append(2))
+        assert sim.step()
+        assert sim.pending_foreground() == 1
+        sim.cancel(first)
+        sim.cancel(first)
+        assert sim.pending_foreground() == 1
+        assert sim.run_until_settled() == 2.0
+        assert ran == [1, 2]
+
+    def test_cancel_from_own_callback_is_a_noop(self, sim):
+        box = []
+        box.append(sim.schedule(1.0, lambda: sim.cancel(box[0])))
+        sim.schedule(2.0, lambda: None)
+        assert sim.run_until_settled() == 2.0
+        assert sim.events_processed == 2
+
 
 class TestRunUntil:
     def test_run_until_stops_clock_at_bound(self, sim):
@@ -186,6 +208,21 @@ class TestTieBreak:
         b = Event(1.0, 6, lambda: None)
         c = Event(0.5, 7, lambda: None)
         assert a < b and c < a
+
+    def test_heap_orders_without_event_comparison(self, monkeypatch):
+        """Heap entries are ``(time, seq, event)`` with a unique seq, so
+        the heap scheduler never compares two events."""
+
+        def refuse(self, other):
+            raise AssertionError("heap compared two Events")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        sim = Simulator(seed=1, scheduler="heap")
+        order = []
+        for tag in range(8):
+            sim.schedule(2.0 if tag % 2 else 1.0, lambda t=tag: order.append(t))
+        sim.run()
+        assert order == [0, 2, 4, 6, 1, 3, 5, 7]
 
     def test_zero_delay_self_schedules_run_fifo(self, sim):
         order = []

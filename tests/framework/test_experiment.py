@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bgp.policy import Relationship
 from repro.bgp.router import BGPRouter
 from repro.bgp.session import BGPTimers
 from repro.controller.idr import ControllerConfig
@@ -11,6 +12,7 @@ from repro.framework.experiment import (
     ExperimentError,
 )
 from repro.sdn.switch import SDNSwitch
+from repro.topology import caida_hierarchy
 from repro.topology.builders import clique, line
 
 
@@ -181,7 +183,65 @@ class TestPrepend:
         route = exp.node(3).loc_rib.get(exp.as_prefix(1))
         assert list(route.attrs.as_path) == [2, 1, 1, 1, 1]
 
+    def test_prepend_changes_only_its_own_session(self):
+        """Sessions share one policy per relationship; prepending on
+        1->2 swaps in a copy for that session alone, so the sibling
+        session 1->3 (same relationship) still exports unprepended."""
+        exp = Experiment(clique(3), config=config()).build()
+        shared = exp.node(1).session_on(exp.phys_link(1, 3)).policy
+        exp.set_export_prepend(1, toward=2, count=2)
+        assert exp.node(1).session_on(exp.phys_link(1, 3)).policy is shared
+        assert exp.node(1).session_on(exp.phys_link(1, 2)).policy is not shared
+        exp.start()
+        prefix = exp.as_prefix(1)
+
+        def heard_from_1(asn):
+            node = exp.node(asn)
+            session = node.session_on(exp.phys_link(asn, 1))
+            return list(node.adj_rib_in(session).get(prefix).attrs.as_path)
+
+        assert heard_from_1(2) == [1, 1, 1]
+        assert heard_from_1(3) == [1]
+
     def test_prepend_on_sdn_member_rejected(self):
         exp = Experiment(clique(3), sdn_members={2}, config=config()).build()
         with pytest.raises(ExperimentError):
             exp.set_export_prepend(2, toward=1, count=3)
+
+
+class TestSharedPolicies:
+    @staticmethod
+    def _sessions(exp):
+        return [
+            session
+            for node in exp.net.nodes.values()
+            if isinstance(node, BGPRouter)
+            for session in node.sessions.values()
+        ]
+
+    def test_one_policy_per_relationship(self):
+        exp = Experiment(
+            caida_hierarchy(40), config=config(policy_mode="gao_rexford")
+        ).build()
+        by_relationship = {}
+        for session in self._sessions(exp):
+            if session.link.kind == "phys":
+                by_relationship.setdefault(
+                    session.policy.relationship, set()
+                ).add(id(session.policy))
+        assert set(by_relationship) == {
+            Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER,
+        }
+        assert all(len(ids) == 1 for ids in by_relationship.values())
+
+    def test_flat_sessions_and_collector_peerings_share(self):
+        exp = Experiment(clique(5), config=config()).build()
+        policies = {}
+        for session in self._sessions(exp):
+            if session.router is exp.collector:
+                side = "collector"
+            else:
+                side = "feed" if session.link.kind == "collector" else "phys"
+            policies.setdefault(side, set()).add(id(session.policy))
+        assert set(policies) == {"phys", "feed", "collector"}
+        assert all(len(ids) == 1 for ids in policies.values())
