@@ -1,9 +1,9 @@
 """Scaling curve: withdrawal storms on Internet-sized CAIDA hierarchies.
 
-The paper evaluates on 16-AS cliques; the compact route machinery
-(interned path attributes, prefix-indexed RIBs, the dirty-set decision
-driver — see ``docs/scaling.md``) exists so the same emulator can run
-orders of magnitude larger.  This benchmark draws the evidence using
+The paper evaluates on 16-AS cliques; the way every router stores
+routes (interned path attributes, a prefix index over the Adj-RIBs-In,
+one best-path run per touched prefix — see ``docs/scaling.md``) lets
+the same emulator run orders of magnitude larger.  This benchmark draws the evidence using
 the forked-trial machinery in :mod:`repro.experiments.scale`: one
 withdrawal-storm trial per topology size, each in a child process so
 that ``ru_maxrss`` — a process-lifetime high-water mark — measures
@@ -20,8 +20,6 @@ Environment knobs (on top of the shared ones in ``conftest.py``):
   (default ``1000,2000,5000``).
 - ``REPRO_BENCH_SCALE_REGISTRY`` — registry SQLite path (default
   ``benchmarks/results/scale-registry.sqlite``).
-- ``REPRO_BENCH_SCALE_SCHEDULER`` — event-kernel scheduler for the
-  trials (``heap`` or ``calendar``; default ``heap``).
 """
 
 import os
@@ -53,17 +51,13 @@ def registry_path():
     )
 
 
-def scale_scheduler():
-    return os.environ.get("REPRO_BENCH_SCALE_SCHEDULER", "heap")
-
-
 def format_report(rows):
     header = (
         f"{'n':>6} {'links':>7} {'peak MiB':>9} {'events/s':>9} "
         f"{'storm s':>8} {'build s':>8} {'conv t':>8} {'paths':>7}"
     )
     lines = [
-        "Withdrawal-storm scaling curve (CAIDA hierarchy, compact+lean)",
+        "Withdrawal-storm scaling curve (CAIDA hierarchy, lean)",
         header,
         "-" * len(header),
     ]
@@ -80,13 +74,12 @@ def format_report(rows):
 
 def test_withdrawal_storm_scaling_curve(benchmark):
     sizes = scale_sizes()
-    scheduler = scale_scheduler()
     registry = RunRegistry(registry_path())
     rows = []
 
     def run():
         for n in sizes:
-            spec = scale_spec(n, scheduler=scheduler)
+            spec = scale_spec(n)
             result = run_scale_trial(spec)
             record_trial(registry, spec, result)
             rows.append(result)
@@ -103,7 +96,7 @@ def test_withdrawal_storm_scaling_curve(benchmark):
         assert measurement.convergence_time > 0
         assert row["storm_events"] > 0
         assert row["peak_rss_mib"] > 0
-        # Interning is live in the child (compact mode constructed
+        # Interning is live in the child (the routers constructed
         # shared attribute objects).
         assert row["intern_pools"]["as_paths"] > 0
     check_rss_sublinear(rows)
@@ -113,13 +106,13 @@ def test_withdrawal_storm_scaling_curve(benchmark):
         for row in registry._conn.execute("SELECT spec_digest FROM runs")
     }
     for n in sizes:
-        assert scale_spec(n, scheduler=scheduler).digest() in recorded
+        assert scale_spec(n).digest() in recorded
 
 
 if __name__ == "__main__":  # pragma: no cover - manual curve runs
     all_rows = []
     for size in scale_sizes():
-        one_spec = scale_spec(size, scheduler=scale_scheduler())
+        one_spec = scale_spec(size)
         trial = run_scale_trial(one_spec)
         record_trial(RunRegistry(registry_path()), one_spec, trial)
         all_rows.append(trial)

@@ -5,8 +5,7 @@ bus is on the hot path of every simulated message, so its overhead per
 record bounds how large an emulation the framework can drive.  We push
 a fixed record stream through two families of configurations:
 
-Eager publishing (``bus.record``, heap-scheduler simulator — the
-historical path):
+Eager publishing (``bus.record`` — the historical path):
 
 - ``no subscribers``   — counts only (the floor every run pays),
 - ``metrics only``     — the registry's per-category counters,
@@ -15,8 +14,8 @@ historical path):
 - ``spans``            — a SpanTracker building the causal provenance
   DAG (one span per route-affecting record).
 
-Lazy publishing (``bus.record_lazy``, calendar-scheduler simulator —
-the kernel + trace-record changes this benchmark was extended for):
+Lazy publishing (``bus.record_lazy`` — the trace-record change this
+benchmark was extended for):
 
 - ``lazy off``         — emitters hand the bus a payload thunk that
   never runs (no takers): the trace_level="off" sweep shape,
@@ -64,9 +63,9 @@ one spec digest and measurement).
 
 Knobs: ``REPRO_BENCH_TRACE_RECORDS`` (stream length, default 200_000);
 ``REPRO_BENCH_TRACE_REGISTRY`` (when set, also run one real
-calendar-scheduler withdrawal trial and append its deterministic
-measurement to that telemetry registry, putting calendar-mode results
-under the ``repro runs regressions`` gate);
+withdrawal trial and append its deterministic measurement to that
+telemetry registry, putting its results under the
+``repro runs regressions`` gate);
 ``REPRO_BENCH_SAMPLER_GATE`` (when set, maximum sampler overhead as a
 percent — CI sets 5 — and the bench fails if sampler-on throughput
 falls further below sampler-off than that).
@@ -158,8 +157,7 @@ def isolated_gc():
 
 def build(config):
     """One (bus, retained-records-callable) pair per configuration."""
-    scheduler = "calendar" if config.startswith("lazy") else "heap"
-    sim = Simulator(seed=0, scheduler=scheduler)
+    sim = Simulator(seed=0)
     bus = InstrumentationBus(sim)
     if config in ("no subscribers", "lazy off") or config in SAMPLER_CONFIGS:
         return bus, lambda: 0
@@ -269,13 +267,13 @@ def run_anatomy_pair():
 
 
 def record_registry_row():
-    """Optional: pin calendar-mode results under the regression gate.
+    """Optional: pin one trial's results under the regression gate.
 
     When ``REPRO_BENCH_TRACE_REGISTRY`` names a registry database, run
-    one real withdrawal trial with ``scheduler="calendar"`` and append
-    its (fully deterministic) measurement.  Successive CI passes then
-    record the same spec digest, and ``repro runs regressions`` flags
-    any drift in the calendar kernel's virtual-time results.
+    one real withdrawal trial and append its (fully deterministic)
+    measurement.  Successive CI passes then record the same spec
+    digest, and ``repro runs regressions`` flags any drift in the
+    kernel's virtual-time results.
     """
     path = os.environ.get("REPRO_BENCH_TRACE_REGISTRY")
     if not path:
@@ -292,8 +290,7 @@ def record_registry_row():
         sdn_count=0,
         seed=0,
         trace_level="off",
-        scheduler="calendar",
-        label="bench-trace-overhead calendar",
+        label="bench-trace-overhead withdrawal",
     )
     started = time.perf_counter()
     measurement = run_trial(spec)

@@ -116,7 +116,7 @@ class AdjRibIn:
     """Routes received from one peer, post-import-policy.
 
     When constructed with ``link_id``/``index`` the table mirrors every
-    mutation into the router-wide :class:`RouteIndex` so the compact
+    mutation into the router-wide :class:`RouteIndex` so the router's
     decision process can read candidates per prefix.
     """
 

@@ -26,6 +26,7 @@ Two payload shapes are understood:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
 MAX_GRID_SPECS = 4096
 
 _TRACE_LEVELS = ("full", "route", "off")
-
-_SCHEDULERS = ("heap", "calendar")
 
 
 class SpecIngestError(ValueError):
@@ -175,10 +174,21 @@ class _Fields:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.error(f"field {name!r}: expected a number, got {_show(value)}")
             return default
+        # ``json.loads`` accepts NaN and ±Infinity, and ``NaN < minimum``
+        # is false, so non-finite values need their own check.
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if not math.isfinite(number):
+            self.error(
+                f"field {name!r}: must be a finite number, got {_show(value)}"
+            )
+            return default
         if minimum is not None and value < minimum:
             self.error(f"field {name!r}: must be >= {minimum}, got {value}")
             return default
-        return float(value)
+        return number
 
     def str_(
         self,
@@ -294,7 +304,7 @@ _SPEC_FIELDS = (
     "scenario", "topology", "n", "sdn_count", "seed", "mrai",
     "recompute_delay", "policy_mode", "sdn_members", "horizon",
     "trace_level", "metrics", "spans", "profile", "sample_hz",
-    "faults", "compact", "batch_delivery", "lean", "scheduler", "label",
+    "faults", "lean", "label",
 )
 
 
@@ -326,10 +336,7 @@ def runspec_from_json(payload) -> "RunSpec":  # noqa: F821 (local import)
     profile = f.bool_("profile")
     sample_hz = f.number("sample_hz", 0.0, minimum=0.0)
     faults = f.faults()
-    compact = f.bool_("compact")
-    batch_delivery = f.bool_("batch_delivery")
     lean = f.bool_("lean")
-    scheduler = f.str_("scheduler", "heap", choices=_SCHEDULERS)
     label = f.str_("label", "")
     if n is not None and sdn_count is not None and sdn_count > n:
         f.error(
@@ -362,10 +369,7 @@ def runspec_from_json(payload) -> "RunSpec":  # noqa: F821 (local import)
         profile=profile,
         sample_hz=sample_hz,
         faults=faults,
-        compact=compact,
-        batch_delivery=batch_delivery,
         lean=lean,
-        scheduler=scheduler,
         label=label,
     )
 
@@ -374,7 +378,7 @@ _GRID_FIELDS = (
     "scenario", "topology", "n", "sdn_counts", "runs", "seed_base",
     "mrai", "recompute_delay", "policy_mode", "trace_level",
     "metrics", "spans", "profile", "sample_hz", "faults", "horizon",
-    "compact", "batch_delivery", "lean", "scheduler",
+    "lean",
 )
 
 
@@ -404,10 +408,7 @@ def grid_from_json(payload, *, max_specs: int = MAX_GRID_SPECS) -> List:
     sample_hz = f.number("sample_hz", 0.0, minimum=0.0)
     horizon = f.number("horizon", None, minimum=0.0, allow_none=True)
     faults = f.faults()
-    compact = f.bool_("compact")
-    batch_delivery = f.bool_("batch_delivery")
     lean = f.bool_("lean")
-    scheduler = f.str_("scheduler", "heap", choices=_SCHEDULERS)
     if n is not None and sdn_counts:
         too_big = [c for c in sdn_counts if c > n]
         if too_big:
@@ -452,10 +453,7 @@ def grid_from_json(payload, *, max_specs: int = MAX_GRID_SPECS) -> List:
                     profile=profile,
                     sample_hz=sample_hz,
                     faults=faults,
-                    compact=compact,
-                    batch_delivery=batch_delivery,
                     lean=lean,
-                    scheduler=scheduler,
                     label=f"{probe.name} sdn={sdn_count} seed={seed}",
                 )
             )
@@ -546,14 +544,8 @@ def spec_payload(spec) -> Dict[str, Any]:
         out["faults"] = _jsonify(spec.faults)
     # Like the digest, these appear only when set so pre-existing
     # payloads (and their consumers) see no new keys.
-    if spec.compact:
-        out["compact"] = True
-    if spec.batch_delivery:
-        out["batch_delivery"] = True
     if spec.lean:
         out["lean"] = True
-    if spec.scheduler != "heap":
-        out["scheduler"] = spec.scheduler
     if spec.sample_hz:
         out["sample_hz"] = spec.sample_hz
     if spec.label:

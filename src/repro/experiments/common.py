@@ -61,21 +61,13 @@ def paper_config(
     trace_level: str = "full",
     metrics: bool = False,
     spans: bool = False,
-    compact: bool = False,
-    batch_delivery: bool = False,
     lean: bool = False,
-    scheduler: str = "heap",
 ) -> ExperimentConfig:
     """The configuration matching the paper's clique experiments.
 
-    ``compact`` turns on the interned/incremental route machinery
-    (result-identical, scale-oriented); ``batch_delivery`` coalesces
-    same-instant link deliveries (NOT digest-preserving); ``lean``
-    drops the baseline full-mesh originations and the route collector —
-    the memory shape Internet-scale trials need, where per-AS /24s
-    would mean O(n²) Adj-RIB entries; ``scheduler`` selects the event
-    kernel's pending-set structure ("heap" or "calendar";
-    digest-preserving either way).
+    ``lean`` drops the baseline full-mesh originations and the route
+    collector — the memory shape Internet-scale trials need, where
+    per-AS /24s would mean O(n²) Adj-RIB entries.
     """
     return ExperimentConfig(
         seed=seed,
@@ -85,11 +77,8 @@ def paper_config(
         trace_level=trace_level,
         metrics=metrics,
         spans=spans,
-        compact=compact,
-        batch_delivery=batch_delivery,
         with_collector=not lean,
         originate_all=not lean,
-        scheduler=scheduler,
     )
 
 

@@ -41,7 +41,7 @@ __all__ = [
 SCALE_MRAI = 2.0
 
 
-def scale_spec(n: int, seed: int = 0, *, scheduler: str = "heap") -> RunSpec:
+def scale_spec(n: int, seed: int = 0) -> RunSpec:
     """The one-trial spec at size ``n`` — a real RunSpec, so registry
     rows carry the same digests any sweep of it would."""
     return RunSpec(
@@ -53,9 +53,7 @@ def scale_spec(n: int, seed: int = 0, *, scheduler: str = "heap") -> RunSpec:
         mrai=SCALE_MRAI,
         policy_mode="gao_rexford",
         trace_level="off",
-        compact=True,
         lean=True,
-        scheduler=scheduler,
         label=f"scale n={n}",
     )
 
@@ -72,10 +70,7 @@ def _measure_trial(spec: RunSpec) -> Dict[str, Any]:
         recompute_delay=spec.recompute_delay,
         policy_mode=spec.policy_mode,
         trace_level=spec.trace_level,
-        compact=spec.compact,
-        batch_delivery=spec.batch_delivery,
         lean=spec.lean,
-        scheduler=spec.scheduler,
     )
     t_start = time.perf_counter()
     exp = Experiment(

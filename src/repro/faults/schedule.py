@@ -21,6 +21,7 @@ table, so a bad schedule fails before any simulation work starts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -38,7 +39,13 @@ class FaultSpecError(ValueError):
 def _num(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FaultSpecError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        num = float(value)
+    except OverflowError:  # an integer beyond float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise FaultSpecError(f"expected a finite number, got {value!r}")
+    return num
 
 
 def _asn(value: Any) -> int:

@@ -97,21 +97,6 @@ class ExperimentConfig:
     #: route-affecting record becomes a span with (cause_id, parent_id)
     #: lineage.  Passive — results are bit-identical with spans on/off.
     spans: bool = False
-    #: build legacy BGP routers in compact mode: interned-route prefix
-    #: index + dirty-set incremental decision process.  Result-identical
-    #: to the default full-scan path (the differential-oracle suite
-    #: proves it); required for Internet-scale topologies.
-    compact: bool = False
-    #: coalesce same-instant per-link deliveries into one kernel event.
-    #: NOT digest-preserving (same-instant cross-link interleaving, and
-    #: with it RNG draw order, changes) — defaults off; see
-    #: docs/scaling.md before flipping it on.
-    batch_delivery: bool = False
-    #: event-kernel pending-set structure: "heap" (binary heap, the
-    #: historical default) or "calendar" (calendar queue; O(1) amortized
-    #: at depth).  Digest-preserving — both schedulers pop in the exact
-    #: same (time, seq) order, proven by the scheduler-equivalence suite.
-    scheduler: str = "heap"
 
     def session_timers(self) -> BGPTimers:
         """A private copy of the session timer config."""
@@ -176,8 +161,6 @@ class Experiment:
             trace_level=self.config.trace_level,
             trace_max_records=self.config.trace_max_records,
             trace_sample=self.config.trace_sample,
-            batch_delivery=self.config.batch_delivery,
-            scheduler=self.config.scheduler,
         )
         # imported here: framework.convergence imports this module for
         # its type annotations, so the dependency is lazy at import time.
@@ -233,7 +216,6 @@ class Experiment:
                     self.net.sim, self.net.bus, node_name,
                     asn=asn, timers=self.config.session_timers(),
                     damping=self.config.damping,
-                    compact=self.config.compact,
                 )
                 self.net.add_node(node)
             node.address = self.allocator.router_address(asn)
@@ -397,10 +379,7 @@ class Experiment:
         evictions) so capture loss is visible in every exported
         snapshot and on the service ``/metrics`` page.  A gauge, not a
         counter: run diffs compare counters exactly, and drop counts
-        depend on buffer sizing, not on the routing outcome.  The same
-        rule puts ``link.coalesced_total`` (same-instant deliveries
-        merged under ``batch_delivery``) in the gauge table: it
-        describes an execution strategy, not a routing result.
+        depend on buffer sizing, not on the routing outcome.
         """
         registry = self.metrics
         if registry is None:
@@ -409,10 +388,6 @@ class Experiment:
         if trace is not None:
             registry.gauge("trace.dropped_records").set(
                 getattr(trace, "dropped_records", 0)
-            )
-        if self.net is not None:
-            registry.gauge("link.coalesced_total").set(
-                sum(link.coalesced_count for link in self.net.links)
             )
         return registry.snapshot()
 
@@ -727,7 +702,6 @@ class Experiment:
                 self.net.sim, self.net.bus, node_name,
                 asn=asn, timers=self.config.session_timers(),
                 damping=self.config.damping,
-                compact=self.config.compact,
             )
             self.net.add_node(node)
         node.address = self.allocator.router_address(asn)

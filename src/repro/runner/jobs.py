@@ -110,20 +110,9 @@ class RunSpec:
     #: wrap the trial in cProfile and attach the hottest functions.
     profile: bool = False
     faults: Optional[Tuple] = None
-    #: run legacy routers in compact mode (interned routes, prefix
-    #: index, dirty-set decision driver).  Results are bit-identical to
-    #: the default path — the differential-oracle suite enforces it.
-    compact: bool = False
-    #: coalesce same-instant per-link deliveries into one kernel event.
-    #: NOT result-identical (RNG draw order shifts) — scale trials only.
-    batch_delivery: bool = False
     #: lean build: no baseline full-mesh originations, no collector.
     #: The only tractable shape at thousands of ASes.
     lean: bool = False
-    #: event-kernel pending-set structure: "heap" or "calendar".
-    #: Digest-preserving (identical pop order), but distinct cache
-    #: entries so scheduler comparisons never alias.
-    scheduler: str = "heap"
     #: sampling wall-clock profiler rate (Hz); 0 disables.  Like
     #: ``profile``, sampling never touches virtual-time results.
     sample_hz: float = 0.0
@@ -168,25 +157,9 @@ class RunSpec:
             # profiled record carries extra payload — own cache entries,
             # unprofiled digests untouched.
             out["profile"] = True
-        if self.compact:
-            # Compact mode is result-identical, but it exercises a
-            # different code path — give it distinct cache entries so a
-            # compact-vs-default comparison never hits the same record,
-            # while compact-free specs keep their legacy digests.
-            out["compact"] = True
-        if self.batch_delivery:
-            # Batching genuinely changes event interleaving, so it must
-            # never share a digest with an unbatched trial.
-            out["batch_delivery"] = True
         if self.lean:
             # Lean builds change what is originated, hence the results.
             out["lean"] = True
-        if self.scheduler != "heap":
-            # The calendar queue pops in the same (time, seq) order as
-            # the heap — results are bit-identical — but it exercises a
-            # different kernel path, so scheduler comparisons get their
-            # own cache entries while heap specs keep legacy digests.
-            out["scheduler"] = self.scheduler
         if self.sample_hz:
             # Stack sampling is passive like profile/spans, but sampled
             # records carry collapsed stacks — own cache entries, while
@@ -324,10 +297,7 @@ def run_trial_full(
         trace_level=spec.trace_level,
         metrics=spec.metrics,
         spans=spec.spans,
-        compact=spec.compact,
-        batch_delivery=spec.batch_delivery,
         lean=spec.lean,
-        scheduler=spec.scheduler,
     )
     return run_scenario_full(
         scenario, topology, members, config, horizon=spec.horizon, info=info,

@@ -385,9 +385,6 @@ class ServiceApp:
         gauge("service.trace_dropped_records").set(
             telemetry["trace_dropped_records"]
         )
-        gauge("service.link_coalesced_total").set(
-            telemetry.get("link_coalesced_total", 0)
-        )
         from ..bgp.attrs import intern_stats
 
         for key, value in intern_stats().items():

@@ -1,21 +1,18 @@
-"""RouteIndex + DecisionDriver units: the compact decision machinery.
+"""The router's decision machinery and its full-scan oracle.
 
 The experiment-level guarantees live in
-``tests/experiments/test_compact_differential.py``; these tests pin the
-two building blocks in isolation — the prefix-major index stays exactly
-in sync with its Adj-RIB-In tables, and the dirty-set driver runs each
-touched prefix once, in first-touch order.
+``tests/experiments/test_withdrawal_oracle.py``; these tests pin the
+building blocks — the prefix-major index stays exactly in sync with its
+Adj-RIB-In tables, one UPDATE runs best-path selection once per touched
+prefix, and the full-scan oracle flags every kind of disagreement.
 """
 
 from repro.bgp.attrs import AsPath, PathAttributes
-from repro.bgp.decision import (
-    DecisionConfig,
-    DecisionDriver,
-    full_scan_best,
-    verify_loc_rib,
-)
+from repro.bgp.decision import DecisionConfig, full_scan_best, verify_loc_rib
+from repro.bgp.messages import BGPUpdate
 from repro.bgp.rib import AdjRibIn, LocRib, Route, RouteIndex
 from repro.net.addr import Prefix
+from tests.conftest import make_bgp_mesh
 
 P1 = Prefix.parse("10.0.1.0/24")
 P2 = Prefix.parse("10.0.2.0/24")
@@ -79,22 +76,29 @@ class TestRouteIndex:
         assert rib.get(P1) is not None
 
 
-class TestDecisionDriver:
-    def test_drain_returns_first_touch_order_once(self):
-        driver = DecisionDriver()
-        driver.mark(P2)
-        driver.mark(P1)
-        driver.mark(P2)  # duplicate: withdraw + re-announce in one UPDATE
-        assert len(driver) == 2
-        assert driver.drain() == [P2, P1]
-        assert driver.drain() == []
-
-    def test_driver_refills_after_drain(self):
-        driver = DecisionDriver()
-        driver.mark(P1)
-        driver.drain()
-        driver.mark(P1)
-        assert driver.drain() == [P1]
+class TestOneDecisionPerPrefix:
+    def test_withdraw_and_reannounce_in_one_update_runs_one_decision(
+        self, net
+    ):
+        a, b = make_bgp_mesh(net, 2)
+        a.originate(P1)
+        net.sim.run_until_settled()
+        (session,) = b.sessions.values()
+        assert b.adj_rib_in(session).get(P1) is not None
+        before = b.decisions_run
+        # The same prefix twice in one UPDATE: withdrawn, then announced
+        # again with a new path.  Both touches change the Adj-RIB-In.
+        reannounced = PathAttributes(as_path=AsPath.of(1, 9))
+        b.enqueue_update(
+            session,
+            BGPUpdate(
+                sender_asn=1, withdrawn=(P1,), announced=((P1, reannounced),)
+            ),
+        )
+        net.sim.run_until_settled()
+        assert b.decisions_run == before + 1
+        assert b.loc_rib.get(P1).attrs.as_path == AsPath.of(1, 9)
+        assert b.verify_decisions() == []
 
 
 class TestFullScanOracle:

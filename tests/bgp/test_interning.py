@@ -1,4 +1,4 @@
-"""Interning + memory-shape tests for the compact route machinery.
+"""Interning + memory-shape tests for the routers' route storage.
 
 The scale refactor (docs/scaling.md) rests on three representation
 guarantees, each pinned here:

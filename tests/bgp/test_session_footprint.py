@@ -29,8 +29,7 @@ HANDLES = (
 def _started_storm_experiment():
     topology = caida_hierarchy(1000)
     config = paper_config(
-        mrai=2.0, policy_mode="gao_rexford", trace_level="off",
-        compact=True, lean=True,
+        mrai=2.0, policy_mode="gao_rexford", trace_level="off", lean=True,
     )
     gc.collect()
     before = len(gc.get_objects())

@@ -223,41 +223,50 @@ class TestSpecPayload:
 
 
 class TestScaleKnobs:
-    """compact/batch_delivery/lean ride specs and survive round trips,
-    without disturbing any legacy digest (docs/scaling.md)."""
+    """``lean`` rides specs and survives round trips, without disturbing
+    any legacy digest (docs/scaling.md)."""
 
     def test_scale_fields_parse(self):
-        spec = runspec_from_json(
-            {**BASE, "compact": True, "batch_delivery": True, "lean": True}
-        )
-        assert spec.compact and spec.batch_delivery and spec.lean
+        spec = runspec_from_json({**BASE, "lean": True})
+        assert spec.lean
 
     def test_false_knobs_keep_legacy_digest(self):
         # Explicit False must digest identically to absent — old cache
         # entries and registry rows stay addressable.
         legacy = runspec_from_json(BASE)
-        explicit = runspec_from_json(
-            {**BASE, "compact": False, "batch_delivery": False, "lean": False}
-        )
+        explicit = runspec_from_json({**BASE, "lean": False})
         assert explicit.digest() == legacy.digest()
 
     def test_each_knob_changes_the_digest(self):
         base = runspec_from_json(BASE).digest()
-        for knob in ("compact", "batch_delivery", "lean"):
-            assert runspec_from_json({**BASE, knob: True}).digest() != base
+        assert runspec_from_json({**BASE, "lean": True}).digest() != base
 
     def test_payload_round_trip(self):
-        original = runspec_from_json({**BASE, "compact": True, "lean": True})
+        original = runspec_from_json({**BASE, "lean": True})
         payload = spec_payload(original)
-        assert payload["compact"] is True and payload["lean"] is True
-        assert "batch_delivery" not in payload  # unset knobs stay out
+        assert payload["lean"] is True
+        assert "sample_hz" not in payload  # unset knobs stay out
         clone = runspec_from_json(payload)
         assert clone.digest() == original.digest()
 
     def test_knobs_must_be_booleans(self):
+        assert any("lean" in e for e in errors_of({**BASE, "lean": "yes"}))
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("compact", True), ("batch_delivery", True), ("scheduler", "heap")],
+    )
+    def test_retired_knobs_are_unknown_fields(self, knob, value):
+        # The simulator has one decision path, one delivery mode and one
+        # event kernel; payloads naming the old selectors fail loudly.
         assert any(
-            "compact" in e for e in errors_of({**BASE, "compact": "yes"})
+            e.startswith(f"unknown field {knob!r}")
+            for e in errors_of({**BASE, knob: value})
         )
+        with pytest.raises(SpecIngestError, match=f"unknown field {knob!r}"):
+            grid_from_json(
+                {"scenario": "withdrawal", "n": 8, "runs": 1, knob: value}
+            )
 
     def test_caida_topology_registered(self):
         from repro.topology import caida_hierarchy
@@ -273,8 +282,66 @@ class TestScaleKnobs:
                 "n": 8,
                 "sdn_counts": [0, 2],
                 "runs": 1,
-                "compact": True,
                 "lean": True,
             }
         )
-        assert specs and all(s.compact and s.lean for s in specs)
+        assert specs and all(s.lean for s in specs)
+
+
+#: every float-valued field of each payload shape.
+SPEC_NUMBER_FIELDS = ("mrai", "recompute_delay", "horizon", "sample_hz")
+GRID_NUMBER_FIELDS = ("mrai", "recompute_delay", "horizon", "sample_hz")
+GRID_BASE = {"scenario": "withdrawal", "n": 4, "sdn_counts": [0, 2]}
+#: non-finite JSON number tokens ``json.loads`` accepts, with how the
+#: error shows them: the three non-standard literals, and an integer
+#: too large for a float.
+NON_FINITE = {
+    "NaN": "float nan",
+    "Infinity": "float inf",
+    "-Infinity": "float -inf",
+    "1" + "0" * 400: "int 1" + "0" * 36 + "...",
+}
+
+
+def _with_field(payload, field, token):
+    """``payload`` as JSON text with one more field holding a raw token."""
+    return json.dumps(payload)[:-1] + f', "{field}": {token}}}'
+
+
+class TestNonFiniteNumbers:
+    """``json.loads`` parses NaN and ±Infinity, and ``NaN < minimum`` is
+    false, so a range check alone would let them through to a run that
+    reports ``convergence_time = nan`` and gets cached."""
+
+    @pytest.mark.parametrize("token", NON_FINITE, ids=lambda t: t[:9])
+    @pytest.mark.parametrize("field", SPEC_NUMBER_FIELDS)
+    def test_spec_field_rejected(self, field, token):
+        assert errors_of(_with_field(BASE, field, token)) == [
+            f"field {field!r}: must be a finite number, got {NON_FINITE[token]}"
+        ]
+
+    @pytest.mark.parametrize("token", NON_FINITE, ids=lambda t: t[:9])
+    @pytest.mark.parametrize("field", GRID_NUMBER_FIELDS)
+    def test_grid_field_rejected(self, field, token):
+        with pytest.raises(SpecIngestError) as excinfo:
+            grid_from_json(_with_field(GRID_BASE, field, token))
+        assert excinfo.value.errors == [
+            f"field {field!r}: must be a finite number, got {NON_FINITE[token]}"
+        ]
+
+    @pytest.mark.parametrize("token", NON_FINITE, ids=lambda t: t[:9])
+    def test_fault_time_rejected(self, token):
+        faults = (
+            '{"events": [{"kind": "link_down", "a": 1, "b": 2,'
+            f' "at": {token}}}]}}'
+        )
+        (error,) = errors_of(_with_field(BASE, "faults", faults))
+        assert error.startswith("field 'faults': expected a finite number")
+
+    def test_finite_values_still_accepted(self):
+        spec = runspec_from_json(
+            {**BASE, "mrai": 2.5, "recompute_delay": 0, "horizon": 1e6}
+        )
+        assert (spec.mrai, spec.recompute_delay, spec.horizon) == (
+            2.5, 0.0, 1e6
+        )

@@ -1,8 +1,8 @@
 """Opt-in 10k-AS scale smoke: peak RSS must stay sub-linear.
 
-The scaling chapter's claim — compact RIBs plus lean mode keep route
-storage near-linear in topology size — is cheap to *state* and
-expensive to *check*, so the check lives behind two gates: the ``slow``
+The scaling chapter's claim — interned, indexed RIBs plus lean mode
+keep route storage near-linear in topology size — is cheap to *state*
+and expensive to *check*, so the check lives behind two gates: the ``slow``
 marker and the ``REPRO_SLOW_TESTS`` environment knob.  When enabled it
 runs the synthetic CAIDA hierarchy withdrawal storm at 2k and 10k ASes
 (each in its own forked child, so ``ru_maxrss`` is an honest per-trial
@@ -54,7 +54,7 @@ def test_ten_k_converges(trial_rows):
 def test_peak_rss_sublinear(trial_rows):
     # links grow ~16x across this 5x AS step (lateral peering mesh), so
     # the gate measures size as n + links; exceeding that ratio * 1.6
-    # in RSS means compact/lean route storage regressed to super-linear.
+    # in RSS means lean route storage regressed to super-linear.
     check_rss_sublinear(trial_rows)
 
 

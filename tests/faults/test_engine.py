@@ -96,10 +96,14 @@ class TestLifecycle:
         assert result.ok
 
     def test_every_report_measured_with_ordering_chain(self):
-        _, result = run_schedule(canned_schedule("stress-composite"),
-                                 reserved=frozenset({1, 2, 3}),
-                                 origins=(1, 2, 3), sdn_count=2)
+        exp, result = run_schedule(canned_schedule("stress-composite"),
+                                   reserved=frozenset({1, 2, 3}),
+                                   origins=(1, 2, 3), sdn_count=2)
         assert result.ok
+        # after resets, crashes and resyncs, every legacy Loc-RIB still
+        # equals the full-scan oracle's answer
+        for asn in exp.legacy_asns():
+            assert exp.node(asn).verify_decisions() == [], f"AS{asn}"
         for report in result.reports:
             m = report.measurement
             assert m is not None
@@ -127,6 +131,8 @@ class TestRouterCrash:
         assert exp.all_reachable()
         # its own prefix is re-announced after restart
         assert node.loc_rib.get(exp.as_prefix(2)) is not None
+        for asn in exp.legacy_asns():
+            assert exp.node(asn).verify_decisions() == [], f"AS{asn}"
 
     def test_sdn_member_crash_recovers(self):
         exp = build_exp(sdn_count=3, mrai=1.0)

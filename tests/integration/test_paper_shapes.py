@@ -20,6 +20,8 @@ from repro.experiments.common import (
     run_scenario_once,
     sdn_set_for,
 )
+from repro.framework.convergence import measure_event
+from repro.framework.experiment import Experiment
 from repro.topology.builders import clique
 
 MRAI = 5.0  # scaled down from 30s; dynamics identical, CI-friendly
@@ -62,6 +64,26 @@ class TestFig2Shape:
     def test_update_count_shrinks_with_deployment(self, withdrawal_sweep_result):
         updates = [p.median_updates for p in withdrawal_sweep_result.points]
         assert updates[0] > updates[-1]
+
+    @pytest.mark.parametrize("sdn_count", [0, 4])
+    def test_converged_routers_agree_with_full_scan_oracle(self, sdn_count):
+        # Every legacy router's Loc-RIB after the withdrawal equals what
+        # a full scan of its Adj-RIBs-In picks, prefix by prefix.
+        scenario = WithdrawalScenario()
+        topology = scenario.topology(8)
+        members = sdn_set_for(topology, sdn_count, scenario.reserved_legacy)
+        exp = Experiment(
+            topology, sdn_members=members, name=scenario.name,
+            config=paper_config(seed=3, mrai=MRAI, recompute_delay=0.2),
+        ).build()
+        scenario.configure(exp)
+        exp.start()
+        scenario.prepare(exp)
+        measure_event(exp, lambda: scenario.event(exp))
+        scenario.finish(exp)
+        assert len(exp.legacy_asns()) == 8 - sdn_count
+        for asn in exp.legacy_asns():
+            assert exp.node(asn).verify_decisions() == [], f"AS{asn}"
 
 
 class TestAnnouncementShape:

@@ -64,6 +64,7 @@ class TestTransmit:
         net.sim.run()
         assert 40 < len(b.inbox) < 160
         assert link.drop_count + link.tx_count == 200
+        assert len(b.inbox) == link.tx_count
 
     def test_zero_loss_delivers_everything(self, net):
         a, b, link = make_probe_pair(net)
@@ -71,6 +72,48 @@ class TestTransmit:
             link.transmit(a, Message())
         net.sim.run()
         assert len(b.inbox) == 50
+
+    def test_same_instant_messages_arrive_in_send_order(self, net):
+        a, b, link = make_probe_pair(net, latency=0.1)
+        sent = [Message() for _ in range(4)]
+        for message in sent:
+            link.transmit(a, message)
+        net.sim.run()
+        assert [m for _, m in b.inbox] == sent
+        # one kernel event per message
+        assert net.sim.events_processed == 4
+
+    def test_background_delivery_does_not_hold_convergence(self, net):
+        a, b, link = make_probe_pair(net, latency=0.5)
+        link.transmit(a, Message(), background=True)
+        link.transmit(a, Message())
+        assert net.sim.pending_foreground() == 1
+        net.sim.run()
+        assert len(b.inbox) == 2
+
+    def test_latency_change_applies_to_new_transmissions_only(self, net):
+        a, b, link = make_probe_pair(net, latency=0.5)
+        link.transmit(a, Message())
+        link.set_latency(0.8)
+        link.transmit(a, Message())
+        net.sim.run()
+        assert [t for t, _ in b.inbox] == [0.5, 0.8]
+
+    def test_zero_latency_reply_is_delivered(self, net):
+        # A reply sent from inside receive() lands at the same instant
+        # as the message that triggered it.
+        class Echo(Probe):
+            def handle_message(self, link, message):
+                super().handle_message(link, message)
+                if self.name == "b":
+                    link.transmit(self, Message())
+
+        a = net.add_node(Echo(net.sim, net.trace, "a"))
+        b = net.add_node(Echo(net.sim, net.trace, "b"))
+        link = net.add_link(a, b, latency=0.0)
+        link.transmit(a, Message())
+        net.sim.run()
+        assert len(b.inbox) == 1 and len(a.inbox) == 1
 
 
 class TestTopologyChecks:

@@ -331,6 +331,28 @@ class TestErrors:
 
         serve(tmp_path, body)
 
+    def test_non_finite_number_is_400(self, tmp_path):
+        # ``json.loads`` accepts the bare NaN token; the spec boundary
+        # must refuse it rather than run and cache a NaN result.
+        payload = (
+            b'{"spec": {"scenario": "withdrawal", "n": 4, "sdn_count": 2,'
+            b' "recompute_delay": NaN}}'
+        )
+
+        def body(port, app, loop):
+            response = raw_request(
+                port,
+                b"POST /api/jobs HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload),
+            )
+            assert b"400 Bad Request" in response
+            assert b"field 'recompute_delay': must be a finite number" in (
+                response
+            )
+            assert not app.manager.jobs
+
+        serve(tmp_path, body)
+
     def test_unknown_routes_and_methods(self, tmp_path):
         def body(port, app, loop):
             assert b"404" in raw_request(
@@ -418,13 +440,9 @@ class TestTelemetryEndpoints:
             ) >= 1
             assert scrape.value("repro_service_cache_entries") == 1
             assert scrape.value("repro_service_uptime_seconds") > 0
-            # execution-strategy gauges: intern pools are warm after a
-            # run, link coalescing is exported even when it never fired
+            # execution-strategy gauges: intern pools are warm after a run
             assert scrape.value("repro_intern_as_paths") > 0
             assert scrape.value("repro_intern_as_path_hits") >= 0
-            assert scrape.value(
-                "repro_service_link_coalesced_total"
-            ) >= 0
             assert (
                 scrape.types["repro_service_request_seconds"] == "histogram"
             )
