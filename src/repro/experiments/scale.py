@@ -24,7 +24,7 @@ from typing import Any, Dict, List
 from ..bgp.attrs import intern_stats
 from ..framework.convergence import measure_event
 from ..framework.experiment import Experiment
-from ..runner.jobs import RunRecord, RunSpec
+from ..runner.jobs import RunRecord, RunSpec, paused_gc
 from ..topology import caida_hierarchy
 from .common import WithdrawalScenario, paper_config, sdn_set_for
 
@@ -60,54 +60,63 @@ def scale_spec(n: int, seed: int = 0) -> RunSpec:
 
 def _measure_trial(spec: RunSpec) -> Dict[str, Any]:
     """Mirror of ``run_trial_full`` that keeps the live experiment in
-    scope, so kernel counters and intern pools can be read directly."""
-    scenario = spec.scenario_factory()
-    topology = scenario.topology(spec.n, spec.topology_factory)
-    members = sdn_set_for(topology, spec.sdn_count, scenario.reserved_legacy)
-    config = paper_config(
-        seed=spec.seed,
-        mrai=spec.mrai,
-        recompute_delay=spec.recompute_delay,
-        policy_mode=spec.policy_mode,
-        trace_level=spec.trace_level,
-        lean=spec.lean,
-    )
-    t_start = time.perf_counter()
-    exp = Experiment(
-        topology, sdn_members=members, config=config, name=scenario.name
-    ).build()
-    scenario.configure(exp)
-    exp.start()
-    scenario.prepare(exp)
-    t_ready = time.perf_counter()
-    # Sample the pools at the converged pre-storm state: the storm is a
-    # withdrawal, and withdrawn routes release their (weakly held)
-    # interned attributes, so the end-of-trial pools would be empty.
-    pools = intern_stats()
-    events_before = exp.net.sim.events_processed
-    measurement = measure_event(
-        exp, lambda: scenario.event(exp), horizon=spec.horizon
-    )
-    scenario.finish(exp)
-    t_done = time.perf_counter()
-    storm_events = exp.net.sim.events_processed - events_before
-    storm_wall = t_done - t_ready
-    return {
-        "n": spec.n,
-        "links": len(topology.links),
-        "measurement": measurement,
-        "build_wall_s": round(t_ready - t_start, 3),
-        "storm_wall_s": round(storm_wall, 3),
-        "total_wall_s": round(t_done - t_start, 3),
-        "events_total": exp.net.sim.events_processed,
-        "storm_events": storm_events,
-        "events_per_s": round(storm_events / storm_wall) if storm_wall > 0 else 0,
-        # Linux reports ru_maxrss in KiB.
-        "peak_rss_mib": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
-        ),
-        "intern_pools": pools,
-    }
+    scope, so kernel counters and intern pools can be read directly.
+
+    Runs under the same :func:`~repro.runner.jobs.paused_gc` as every
+    other trial, so the curve times the trial and not the collector.
+    """
+    with paused_gc():
+        scenario = spec.scenario_factory()
+        topology = scenario.topology(spec.n, spec.topology_factory)
+        members = sdn_set_for(
+            topology, spec.sdn_count, scenario.reserved_legacy
+        )
+        config = paper_config(
+            seed=spec.seed,
+            mrai=spec.mrai,
+            recompute_delay=spec.recompute_delay,
+            policy_mode=spec.policy_mode,
+            trace_level=spec.trace_level,
+            lean=spec.lean,
+        )
+        t_start = time.perf_counter()
+        exp = Experiment(
+            topology, sdn_members=members, config=config, name=scenario.name
+        ).build()
+        scenario.configure(exp)
+        exp.start()
+        scenario.prepare(exp)
+        t_ready = time.perf_counter()
+        # Sample the pools at the converged pre-storm state: the storm is a
+        # withdrawal, and withdrawn routes release their (weakly held)
+        # interned attributes, so the end-of-trial pools would be empty.
+        pools = intern_stats()
+        events_before = exp.net.sim.events_processed
+        measurement = measure_event(
+            exp, lambda: scenario.event(exp), horizon=spec.horizon
+        )
+        scenario.finish(exp)
+        t_done = time.perf_counter()
+        storm_events = exp.net.sim.events_processed - events_before
+        storm_wall = t_done - t_ready
+        return {
+            "n": spec.n,
+            "links": len(topology.links),
+            "measurement": measurement,
+            "build_wall_s": round(t_ready - t_start, 3),
+            "storm_wall_s": round(storm_wall, 3),
+            "total_wall_s": round(t_done - t_start, 3),
+            "events_total": exp.net.sim.events_processed,
+            "storm_events": storm_events,
+            "events_per_s": (
+                round(storm_events / storm_wall) if storm_wall > 0 else 0
+            ),
+            # Linux reports ru_maxrss in KiB.
+            "peak_rss_mib": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1
+            ),
+            "intern_pools": pools,
+        }
 
 
 def _child_entry(spec: RunSpec, conn) -> None:

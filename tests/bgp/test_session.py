@@ -1,5 +1,7 @@
 """Unit tests for the BGP session FSM, MRAI pacing, and fallover."""
 
+import random
+
 import pytest
 
 from repro.bgp.router import BGPRouter
@@ -224,6 +226,27 @@ class TestMraiPacing:
         a, b, link, sa, sb = make_pair(net, timers, timers)
         period = sa._mrai_period()
         assert 7.5 <= period <= 10.0
+
+    def test_empty_flush_still_draws_mrai_jitter(self, net):
+        """A flush whose dirty prefixes all diff to None sends nothing
+        and arms no MRAI timer, but still takes one draw from the shared
+        ``bgp.mrai`` stream.  Every later jitter depends on that draw,
+        so skipping such flushes would change pinned outcomes."""
+        timers = BGPTimers(mrai=10.0, mrai_jitter=0.25)
+        a, b, link, sa, sb = make_pair(net, timers, timers)
+        a.originate(PFX)
+        net.sim.run_until_settled()
+        assert sa._mrai_event is None
+        rng = net.sim.rng("bgp.mrai")
+        expected = random.Random()
+        expected.setstate(rng.getstate())
+        expected.uniform(7.5, 10.0)
+        sent = sa.updates_sent
+        sa._note_dirty(PFX)  # already sent with these attributes
+        sa._flush()
+        assert sa.updates_sent == sent
+        assert sa._mrai_event is None
+        assert rng.getstate() == expected.getstate()
 
 
 class TestKeepalives:

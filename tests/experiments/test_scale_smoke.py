@@ -29,7 +29,7 @@ pytestmark = [
     pytest.mark.slow,
     pytest.mark.skipif(
         not os.environ.get("REPRO_SLOW_TESTS"),
-        reason="10k-AS smoke takes minutes; set REPRO_SLOW_TESTS=1 to run",
+        reason="10k-AS smoke needs ~500 MiB; set REPRO_SLOW_TESTS=1 to run",
     ),
 ]
 

@@ -440,9 +440,11 @@ class TestTelemetryEndpoints:
             ) >= 1
             assert scrape.value("repro_service_cache_entries") == 1
             assert scrape.value("repro_service_uptime_seconds") > 0
-            # execution-strategy gauges: intern pools are warm after a run
-            assert scrape.value("repro_intern_as_paths") > 0
-            assert scrape.value("repro_intern_as_path_hits") >= 0
+            # execution-strategy gauges: the run hit the intern pools; the
+            # weak pools themselves may already be empty once its dead
+            # graph is collected, so their size need only be exported
+            assert scrape.value("repro_intern_as_paths") >= 0
+            assert scrape.value("repro_intern_as_path_hits") > 0
             assert (
                 scrape.types["repro_service_request_seconds"] == "histogram"
             )
